@@ -14,8 +14,23 @@
 
 using namespace frn;
 
+int Usage(const std::string& error) {
+  std::string names;
+  for (const std::string& name : AllScenarioNames()) {
+    names += (names.empty() ? "" : "|") + name;
+  }
+  std::fprintf(stderr, "live_node: %s\nusage: live_node [%s]\n", error.c_str(), names.c_str());
+  return 2;
+}
+
 int main(int argc, char** argv) {
+  if (argc > 2) {
+    return Usage("too many arguments");
+  }
   std::string scenario = argc > 1 ? argv[1] : "L1";
+  if (!IsScenarioName(scenario)) {
+    return Usage("unknown scenario '" + scenario + "'");
+  }
   ScenarioConfig cfg = ScenarioByName(scenario);
   cfg.duration = 90;  // a shorter live session
 

@@ -394,7 +394,6 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
     report.nodes[n].spec_cache = nodes[n]->spec_cache_stats();
     report.nodes[n].chain_state = nodes[n]->chain_state_stats();
     report.nodes[n].versioned = nodes[n]->versioned_stats();
-    report.nodes[n].versioned_enabled = nodes[n]->versioned_enabled();
     report.nodes[n].state_view_active = nodes[n]->view_active();
   }
   return report;

@@ -90,7 +90,6 @@ struct NodeRunStats {
   // registry mixes nodes) and the versioned store's structural counters.
   StateDbStats chain_state;
   VersionedStateStats versioned;
-  bool versioned_enabled = false;
   bool state_view_active = false;
 };
 

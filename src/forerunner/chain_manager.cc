@@ -1,38 +1,20 @@
 #include "src/forerunner/chain_manager.h"
 
-#include "src/common/clock.h"
 #include "src/obs/registry.h"
 
 namespace frn {
 
-ChainManager::ChainManager(Mpt* trie, SharedStateCache* shared_cache,
-                           const ChainManagerOptions& options, VersionedState* versioned)
-    : options_(options),
-      trie_(trie),
-      shared_cache_(shared_cache),
-      versioned_(versioned),
-      commit_pool_(options.commit_workers) {}
-
-ChainManager::~ChainManager() {
-  // An in-flight async commit still touches state_ from the commit pool's
-  // thread; resolve it before the members are torn down.
-  if (pending_root_.valid()) {
-    pending_root_.Wait();
-  }
-}
+ChainManager::ChainManager(Mpt* trie, VersionedState* versioned,
+                           const ChainManagerOptions& options)
+    : options_(options), trie_(trie), versioned_(versioned), commit_pool_(options.commit_workers) {}
 
 void ChainManager::ReopenState() {
-  SealRoot();  // never retire a state view with its async commit in flight
   if (state_ != nullptr) {
     retired_state_stats_ += state_->stats();
   }
-  shared_cache_->Reset(head_root_);
-  state_ = std::make_unique<StateDb>(trie_, head_root_, shared_cache_, versioned_,
-                                     &commit_pool_);
-  if (versioned_ != nullptr) {
-    static Gauge* view_active = MetricsRegistry::Global().GetGauge("state.view_active");
-    view_active->Set(state_->view().valid() ? 1.0 : 0.0);
-  }
+  state_ = std::make_unique<StateDb>(trie_, head_root_, versioned_, &commit_pool_);
+  static Gauge* view_active = MetricsRegistry::Global().GetGauge("state.view_active");
+  view_active->Set(state_->view().valid() ? 1.0 : 0.0);
 }
 
 void ChainManager::SetGenesis(const Hash& root) {
@@ -64,25 +46,7 @@ void ChainManager::BeginBlock(const Block& block, double first_seen) {
   pending_first_seen_ = first_seen;
 }
 
-void ChainManager::CommitState() {
-  if (options_.root_async) {
-    pending_root_ = state_->CommitAsync();
-  } else {
-    sealed_root_ = state_->Commit();
-  }
-}
-
-Hash ChainManager::SealRoot() {
-  if (pending_root_.valid()) {
-    static SecondsCounter* seal_wait =
-        MetricsRegistry::Global().GetSeconds("commit.seal_wait_seconds");
-    Stopwatch watch;
-    sealed_root_ = pending_root_.Wait();
-    seal_wait->Add(watch.ElapsedSeconds());
-    pending_root_ = RootFuture{};
-  }
-  return sealed_root_;
-}
+Hash ChainManager::CommitState() { return state_->Commit(); }
 
 void ChainManager::AdvanceHead(const BlockContext& header, const Hash& root) {
   head_ = header;
@@ -113,12 +77,10 @@ std::vector<OrphanedTx> ChainManager::RollbackHead() {
   head_ = record.parent_header;
   head_first_seen_ = record.parent_first_seen;
   chain_nonces_ = std::move(record.parent_nonces);
-  // With a versioned store the rollback is a handle swap: record.parent_view
-  // has kept the parent version pinned for the whole window, so ReopenState's
+  // The rollback is a handle swap: record.parent_view has kept the parent
+  // version pinned for the whole window, so ReopenState's
   // AcquireAt(parent_root) below is guaranteed to hit; the record (and its
-  // pin) is released when this function returns. No diff replay happens, and
-  // a rollback deeper than the store's retention merely opens an uncovered
-  // view that reads through the persistent trie.
+  // pin) is released when this function returns. No diff replay happens.
   ReopenState();
   ++rollbacks_;
   return std::move(record.orphans);

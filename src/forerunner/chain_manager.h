@@ -1,19 +1,14 @@
 // The chain/state lifecycle manager (paper Fig. 3, consensus-to-execution
 // boundary): a block history over StateDb roots supporting multi-depth
-// reorgs. Because the Merkle-Patricia trie is persistent, every recent root
-// stays readable for free; the manager keeps a bounded undo window (root,
-// header, nonce map, pinned snapshot handle, and the undone block's orphaned
-// transactions) and can walk the head back up to `max_reorg_depth` blocks,
-// handing the orphans back for mempool re-injection. With a versioned store
-// attached, the undo record's pinned handle keeps the parent version
+// reorgs. The manager keeps a bounded undo window (root, header, nonce map,
+// pinned snapshot handle, and the undone block's orphaned transactions) and
+// can walk the head back up to `max_reorg_depth` blocks, handing the orphans
+// back for mempool re-injection. Every state view reads through the node's
+// versioned store; the undo record's pinned handle keeps the parent version
 // acquirable, so a rollback is a handle swap — never a diff replay.
 //
 // Threading: owned by the node's coordinator thread; speculation workers read
-// old roots through the persistent trie (or their own pinned snapshot
-// handles) and never touch this object. Under chain.root_async the commit's
-// trie folds run on the commit pool's async thread between CommitState() and
-// SealRoot(); the manager guarantees the state view is never retired or
-// destroyed with a commit in flight.
+// through their own pinned snapshot handles and never touch this object.
 #ifndef SRC_FORERUNNER_CHAIN_MANAGER_H_
 #define SRC_FORERUNNER_CHAIN_MANAGER_H_
 
@@ -34,7 +29,8 @@ struct ChainManagerOptions {
   // How many committed blocks can be undone. The window only bounds how much
   // undo history is retained: a single rollback behaves identically at any
   // depth >= 1, so the default deepens the pre-decomposition single-depth
-  // support without changing its behaviour.
+  // support without changing its behaviour. It is also the node's versioned
+  // store retention: versions above the folded base kept acquirable.
   size_t max_reorg_depth = 4;
   // Worker threads for StateDb::Commit's parallel storage-subtrie folds.
   // 1 (the default) runs the folds inline on the coordinator in the exact
@@ -46,13 +42,6 @@ struct ChainManagerOptions {
   // them optimistically with conflict detection and produces identical
   // commit roots — the serial-default guarantee mirrors commit_workers.
   size_t block_workers = 1;
-  // Off-critical-path root authentication: CommitState() returns after
-  // capturing the block's dirty set, the trie folds run on the commit pool's
-  // background thread, and SealRoot() awaits the authenticated root at
-  // block-seal time. Default off => bit-identical behavior and timing to the
-  // synchronous pipeline. Requires a versioned store (silently synchronous
-  // without one — there is no covered view to keep readers consistent).
-  bool root_async = false;
 };
 
 // A transaction orphaned by a rollback: what the mempool and speculation
@@ -66,12 +55,10 @@ struct OrphanedTx {
 
 class ChainManager {
  public:
-  // `versioned` may be null; when present, every committed block seals a new
-  // version in it, every state view pins its root's version, and rollbacks
+  // Every committed block publishes a new version in `versioned` (borrowed,
+  // non-null), every state view pins its root's version, and rollbacks
   // re-acquire the parent version by handle.
-  ChainManager(Mpt* trie, SharedStateCache* shared_cache,
-               const ChainManagerOptions& options, VersionedState* versioned = nullptr);
-  ~ChainManager();
+  ChainManager(Mpt* trie, VersionedState* versioned, const ChainManagerOptions& options);
 
   // Installs the genesis root as the head (block number 0) and opens the
   // execution state view.
@@ -90,18 +77,12 @@ class ChainManager {
   // Snapshot the pre-block state into a pending undo record. Called at the
   // top of block execution, before any transaction mutates the nonce map.
   void BeginBlock(const Block& block, double first_seen);
-  // Commits the execution state; the only chain work inside the measured
-  // commit span. Synchronous mode computes the root inline (identical to the
-  // pre-decomposition node); root_async mode dispatches the folds and returns
-  // immediately.
-  void CommitState();
-  // The authenticated post-state root. Blocks on the in-flight async commit
-  // when root_async dispatched one; otherwise returns the root CommitState
-  // already computed. Must be called before AdvanceHead.
-  Hash SealRoot();
-  // Moves the head (off the measured path): resets the shared cache, reopens
-  // the state view, finalizes the pending undo record, and prunes the undo
-  // window to max_reorg_depth.
+  // Commits the execution state and returns the authenticated post-state
+  // root; the only chain work inside the measured commit span.
+  Hash CommitState();
+  // Moves the head (off the measured path): reopens the state view,
+  // finalizes the pending undo record, and prunes the undo window to
+  // max_reorg_depth.
   void AdvanceHead(const BlockContext& header, const Hash& root);
   // Attaches an orphan candidate to the just-advanced block's undo record.
   void AttachOrphan(OrphanedTx&& orphan);
@@ -110,10 +91,9 @@ class ChainManager {
   size_t reorg_window() const { return undo_.size(); }
   size_t max_reorg_depth() const { return options_.max_reorg_depth; }
   size_t commit_workers() const { return commit_pool_.workers(); }
-  bool root_async() const { return options_.root_async; }
   uint64_t rollbacks() const { return rollbacks_; }
   // Whether the live state view reads through a pinned snapshot handle (false
-  // when no versioned store is attached or its retention missed the root).
+  // only if the store's retention missed the head root).
   bool view_active() const { return state_ != nullptr && state_->view().valid(); }
 
   // Critical-path StateDb read attribution, accumulated across the per-block
@@ -154,7 +134,6 @@ class ChainManager {
 
   ChainManagerOptions options_;
   Mpt* trie_;
-  SharedStateCache* shared_cache_;
   VersionedState* versioned_;
   // The pool outlives the per-block StateDb instances that borrow it.
   CommitPool commit_pool_;
@@ -164,11 +143,6 @@ class ChainManager {
   BlockContext head_;
   double head_first_seen_ = 0;
   std::unordered_map<Address, uint64_t, AddressHasher> chain_nonces_;
-
-  // root_async seal handshake: at most one commit is in flight, between
-  // CommitState() and the next SealRoot().
-  RootFuture pending_root_;
-  Hash sealed_root_;
 
   UndoRecord pending_;
   double pending_first_seen_ = 0;

@@ -1,6 +1,5 @@
 #include "src/forerunner/node.h"
 
-#include <algorithm>
 #include <thread>
 
 #include "src/obs/registry.h"
@@ -28,41 +27,34 @@ KvStore::Options ResolveStoreOptions(const NodeOptions& options) {
   return store;
 }
 
-// The store must retain at least as many versions as the undo window is deep,
-// or a rollback inside the window would fall off coverage; explicit retention
-// settings only ever deepen it.
-size_t ResolveRetention(const NodeOptions& options) {
-  return std::max<size_t>(options.state.retention, options.chain.max_reorg_depth);
-}
-
 }  // namespace
 
 Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& genesis)
     : options_(options),
       store_(ResolveStoreOptions(options)),
       trie_(&store_),
-      versioned_(options.state.versioned
-                     ? std::make_unique<VersionedState>(ResolveRetention(options))
-                     : nullptr),
+      // The store must retain as many versions as the undo window is deep, or
+      // a rollback inside the window would fall off coverage.
+      versioned_(options.chain.max_reorg_depth),
       rng_(options.rng_seed),
       predictor_(options.predictor),
       spec_pool_(&trie_, options.speculator, ResolveSpecWorkers(options),
-                 /*physical_threads=*/0, versioned_.get()),
-      prefetcher_(&trie_, &shared_cache_, versioned_.get()),
+                 /*physical_threads=*/0, &versioned_),
+      prefetcher_(&trie_, &versioned_),
       parallel_exec_(options.chain.block_workers > 1
                          ? std::make_unique<ParallelBlockExecutor>(
-                               &trie_, &shared_cache_, versioned_.get(),
+                               &trie_, &versioned_,
                                ParallelExecOptions{options.chain.block_workers,
                                                    /*physical_threads=*/0,
                                                    /*max_rounds=*/0})
                          : nullptr),
       mempool_(options.mempool),
       spec_(options.spec),
-      chain_(&trie_, &shared_cache_, options.chain, versioned_.get()) {
-  // The genesis commit seals the first version above the store's empty base:
-  // empty maps are complete for the empty trie, so version coverage is
+      chain_(&trie_, &versioned_, options.chain) {
+  // The genesis commit publishes the first version above the store's empty
+  // base: empty maps are complete for the empty trie, so version coverage is
   // authoritative from block 0 on.
-  StateDb genesis_state(&trie_, Mpt::EmptyRoot(), nullptr, versioned_.get());
+  StateDb genesis_state(&trie_, Mpt::EmptyRoot(), &versioned_);
   genesis(&genesis_state);
   Hash genesis_root = genesis_state.Commit();
   chain_.SetGenesis(genesis_root);
@@ -245,7 +237,7 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
   Stopwatch block_watch;
   // Optimistic parallel path (chain.block_workers > 1): converged blocks are
   // merged write-set-by-write-set in transaction order, so everything below
-  // the execution loop — commit, seal, head advance — is shared with the
+  // the execution loop — commit and head advance — is shared with the
   // serial path and roots stay bit-identical. A fallback (fee-account sender,
   // round bound) drops to the serial loop.
   double wall_adjust = 0;
@@ -304,13 +296,9 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
     }
   }
   {
-    // Under chain.root_async this span covers only the critical-path half of
-    // the commit (dirty-set capture + dispatch); the trie folds run on the
-    // commit pool's background thread and are awaited by SealRoot below.
     TraceSpan commit_span(collector, "block", "block.commit", commit_wall);
-    chain_.CommitState();
+    report.state_root = chain_.CommitState();
   }
-  report.state_root = chain_.SealRoot();
   // wall_adjust swaps the parallel path's physically-measured execute phases
   // for their modeled max-over-lanes wall (zero on the serial path), the same
   // convention DiCE already uses for speculation and commit-fold walls.
@@ -438,29 +426,23 @@ JsonValue Node::StatsJson() const {
   StateDbStats state = chain_state_stats();
   chain_json.Set("account_trie_reads", state.account_trie_reads);
   chain_json.Set("storage_trie_reads", state.storage_trie_reads);
-  chain_json.Set("shared_cache_hits", state.shared_cache_hits);
   chain_json.Set("versioned_hits", state.versioned_hits);
   chain_json.Set("versioned_misses", state.versioned_misses);
   node.Set("chain", std::move(chain_json));
 
   JsonValue state_json = JsonValue::Object();
-  state_json.Set("versioned", versioned_ != nullptr);
   state_json.Set("view_active", view_active());
-  state_json.Set("root_async", chain_.root_async());
-  if (versioned_ != nullptr) {
-    VersionedStateStats vs = versioned_->stats();
-    state_json.Set("commits", vs.commits);
-    state_json.Set("seals", vs.seals);
-    state_json.Set("invalidations", vs.invalidations);
-    state_json.Set("folds", vs.folds);
-    state_json.Set("fold_deferrals", vs.fold_deferrals);
-    state_json.Set("handle_acquires", vs.handle_acquires);
-    state_json.Set("acquire_misses", vs.acquire_misses);
-    state_json.Set("retained", static_cast<uint64_t>(vs.retained));
-    state_json.Set("depth", static_cast<uint64_t>(vs.depth));
-    state_json.Set("accounts", static_cast<uint64_t>(vs.accounts));
-    state_json.Set("slots", static_cast<uint64_t>(vs.slots));
-  }
+  VersionedStateStats vs = versioned_.stats();
+  state_json.Set("commits", vs.commits);
+  state_json.Set("invalidations", vs.invalidations);
+  state_json.Set("folds", vs.folds);
+  state_json.Set("fold_deferrals", vs.fold_deferrals);
+  state_json.Set("handle_acquires", vs.handle_acquires);
+  state_json.Set("acquire_misses", vs.acquire_misses);
+  state_json.Set("retained", static_cast<uint64_t>(vs.retained));
+  state_json.Set("depth", static_cast<uint64_t>(vs.depth));
+  state_json.Set("accounts", static_cast<uint64_t>(vs.accounts));
+  state_json.Set("slots", static_cast<uint64_t>(vs.slots));
   node.Set("state", std::move(state_json));
 
   if (parallel_exec_ != nullptr) {

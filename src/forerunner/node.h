@@ -53,18 +53,12 @@ struct BlockExecReport {
   double total_seconds = 0;
 };
 
-// The versioned snapshot store (src/state/versioned_state.h): O(1) pinned-
-// view reads for the critical path, the speculation workers and the
-// prefetcher, with handle-swap reorgs to any retained height.
+// Every node reads committed state through its versioned snapshot store
+// (src/state/versioned_state.h): O(1) pinned-view reads for the critical
+// path, the speculation workers, the prefetcher and parallel attempts, with
+// handle-swap reorgs to any height inside chain.max_reorg_depth. The trie
+// only authenticates roots.
 struct StateOptions {
-  // Off by default: the store-off node is the configuration every bench was
-  // validated against, and bench_flat_state gates that enabling it changes
-  // no state root and no execution outcome — only where reads are served.
-  bool versioned = false;
-  // Versions retained above the folded base. 0 derives the retention from the
-  // deepest reorg the node must serve: max(retention, chain.max_reorg_depth)
-  // is always applied, so explicit values only ever deepen it.
-  size_t retention = 0;
   // Optional durability (borrowed; must outlive the node): wired into the
   // KvStore as its append-only segment log, plus per-block head markers so a
   // restarted run recovers at the same head root (forerunner_sim
@@ -133,10 +127,7 @@ class Node {
   SpecCacheStats spec_cache_stats() const { return spec_.stats(); }
   // Critical-path StateDb read attribution (versioned hits vs trie walks).
   StateDbStats chain_state_stats() const { return chain_.cumulative_state_stats(); }
-  VersionedStateStats versioned_stats() const {
-    return versioned_ != nullptr ? versioned_->stats() : VersionedStateStats{};
-  }
-  bool versioned_enabled() const { return versioned_ != nullptr; }
+  VersionedStateStats versioned_stats() const { return versioned_.stats(); }
   // Whether the live head view reads through a pinned snapshot handle.
   bool view_active() const { return chain_.view_active(); }
   const ChainManager& chain() const { return chain_; }
@@ -206,10 +197,10 @@ class Node {
   NodeOptions options_;
   KvStore store_;
   Mpt trie_;
-  SharedStateCache shared_cache_;
-  // Null unless options_.state.versioned; shared (read-side) by the chain
-  // manager's state views, the speculation workers and the prefetcher.
-  std::unique_ptr<VersionedState> versioned_;
+  // The only source of committed reads: shared (read-side) by the chain
+  // manager's state views, the speculation workers, the prefetcher and the
+  // parallel executor's attempts.
+  VersionedState versioned_;
   Rng rng_;
 
   MultiFuturePredictor predictor_;

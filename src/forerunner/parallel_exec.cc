@@ -28,10 +28,9 @@ struct ParallelBlockExecutor::Attempt {
   bool fee_balance_observed = false;
 };
 
-ParallelBlockExecutor::ParallelBlockExecutor(Mpt* trie, SharedStateCache* shared_cache,
-                                             VersionedState* versioned,
+ParallelBlockExecutor::ParallelBlockExecutor(Mpt* trie, VersionedState* versioned,
                                              const ParallelExecOptions& options)
-    : trie_(trie), shared_cache_(shared_cache), versioned_(versioned), options_(options) {
+    : trie_(trie), versioned_(versioned), options_(options) {
   options_.workers = std::max<size_t>(1, options_.workers);
   unsigned hw = std::thread::hardware_concurrency();
   const size_t hw_cap = hw == 0 ? 1 : static_cast<size_t>(hw);
@@ -50,7 +49,7 @@ void ParallelBlockExecutor::RunAttempt(const Hash& root, const BlockContext& hea
     // charged to the modeled cost instead of physically spun, so the model
     // holds on a host with fewer cores than lanes.
     KvStore::StatsScope scope(&io);
-    StateDb attempt_db(trie_, root, shared_cache_, versioned_);
+    StateDb attempt_db(trie_, root, versioned_);
     BlockStmView view(&mv, tx_index, header.coinbase);
     attempt_db.set_overlay(&view);
     attempt->outcome = Accelerator::Execute(&attempt_db, header, tx, spec, strategy);

@@ -80,10 +80,10 @@ struct ParallelBlockStats {
 
 class ParallelBlockExecutor {
  public:
-  // `shared_cache` and `versioned` may be null; attempts read the pre-block
-  // snapshot through whatever is attached, exactly like the serial path.
-  ParallelBlockExecutor(Mpt* trie, SharedStateCache* shared_cache,
-                        VersionedState* versioned, const ParallelExecOptions& options);
+  // `versioned` may be null; attempts read the pre-block snapshot through it
+  // when attached, exactly like the serial path.
+  ParallelBlockExecutor(Mpt* trie, VersionedState* versioned,
+                        const ParallelExecOptions& options);
 
   // Executes `txs` optimistically against the state at `root`. `specs` is
   // aligned with `txs` (null entries = no speculation); AP fast-path hits
@@ -106,7 +106,6 @@ class ParallelBlockExecutor {
                   size_t tx_index, Attempt* attempt);
 
   Mpt* trie_;
-  SharedStateCache* shared_cache_;
   VersionedState* versioned_;
   ParallelExecOptions options_;
   size_t physical_;

@@ -1,7 +1,9 @@
 // The state prefetcher (paper §4.4): walks the trie paths of everything a
 // pre-execution read so the disk I/O, node decoding and key-value lookups are
-// paid off the critical path. Results land in the KvStore hot set and in the
-// SharedStateCache the critical-path StateDb reads through.
+// paid off the critical path. Committed reads are served by the versioned
+// store, so what the prefetch saves is the Merkle commit's: the account and
+// storage trie paths the commit re-hashes, and the code blobs, land in the
+// KvStore hot set. No values are cached.
 #ifndef SRC_FORERUNNER_PREFETCHER_H_
 #define SRC_FORERUNNER_PREFETCHER_H_
 
@@ -12,16 +14,15 @@ namespace frn {
 
 class Prefetcher {
  public:
-  // `versioned` may be null. When the versioned store retains a version at
-  // `root`, account and slot reads are already O(1) through the pinned handle
-  // and the trie walks are skipped — only code blobs (which live behind the
-  // store, not in the version maps) still get heated.
-  Prefetcher(Mpt* trie, SharedStateCache* cache, VersionedState* versioned = nullptr)
-      : trie_(trie), cache_(cache), versioned_(versioned) {}
+  // `versioned` may be null. When it retains a version at the prefetch root,
+  // storage roots come O(1) from the pinned handle instead of a second walk
+  // down the account path.
+  explicit Prefetcher(Mpt* trie, VersionedState* versioned = nullptr)
+      : trie_(trie), versioned_(versioned) {}
 
   // Warms every location in `reads` for the state at `root`.
   void Prefetch(const Hash& root, const ReadSet& reads) {
-    StateDb db(trie_, root, cache_, versioned_);
+    StateDb db(trie_, root, versioned_);
     for (const Address& account : reads.accounts) {
       db.PrefetchAccount(account);
     }
@@ -32,7 +33,6 @@ class Prefetcher {
 
  private:
   Mpt* trie_;
-  SharedStateCache* cache_;
   VersionedState* versioned_ = nullptr;
 };
 

@@ -60,7 +60,7 @@ bool Speculator::SpeculateFuture(const Hash& root, const Transaction& tx,
   // Scratch view of the chain state: journaled writes are never committed.
   // Retained roots pin a snapshot handle answering reads O(1) (workers only
   // read the store; an unretained root harmlessly reads the trie).
-  StateDb scratch(trie_, root, nullptr, versioned_);
+  StateDb scratch(trie_, root, versioned_);
 
   // Replay the predicted predecessors to construct the speculated context.
   {

@@ -274,4 +274,26 @@ SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& 
   return report;
 }
 
+std::vector<Hash> ReplayTrieOnly(const std::function<void(StateDb*)>& genesis,
+                                 const std::vector<Block>& blocks) {
+  KvStore::Options options;
+  options.cold_read_latency = std::chrono::nanoseconds(0);
+  KvStore store(options);
+  Mpt trie(&store);
+  StateDb genesis_state(&trie, Mpt::EmptyRoot());
+  genesis(&genesis_state);
+  Hash root = genesis_state.Commit();
+  std::vector<Hash> roots;
+  roots.reserve(blocks.size());
+  for (const Block& block : blocks) {
+    StateDb state(&trie, root);
+    for (const Transaction& tx : block.txs) {
+      Accelerator::Execute(&state, block.header, tx, nullptr, ExecStrategy::kBaseline);
+    }
+    root = state.Commit();
+    roots.push_back(root);
+  }
+  return roots;
+}
+
 }  // namespace frn

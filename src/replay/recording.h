@@ -8,6 +8,7 @@
 #ifndef SRC_REPLAY_RECORDING_H_
 #define SRC_REPLAY_RECORDING_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,14 @@ bool DeserializeRecording(const std::string& text, Recording* out);
 // them, exactly like the live DiceSimulator drives its nodes.
 SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& nodes,
                           double pipeline_period = 0.25);
+
+// Trie-only reference execution, the oracle the store-backed nodes are
+// checked against: per block, a store-less StateDb opened at the previous
+// root runs every transaction through the baseline strategy and commits, so
+// every read walks the trie. `genesis` populates the empty state exactly as
+// a Node's genesis callback does. Returns each block's post-state root.
+std::vector<Hash> ReplayTrieOnly(const std::function<void(StateDb*)>& genesis,
+                                 const std::vector<Block>& blocks);
 
 }  // namespace frn
 

@@ -15,16 +15,6 @@ CommitPool::CommitPool(size_t workers) : workers_(std::max<size_t>(1, workers)) 
 }
 
 CommitPool::~CommitPool() {
-  // Retire the async lane first: a pending async commit may still call Run(),
-  // which needs the fold workers alive.
-  if (async_started_) {
-    {
-      MutexLock lock(async_mutex_);
-      async_shutdown_ = true;
-    }
-    async_cv_.NotifyAll();
-    async_thread_.join();
-  }
   {
     MutexLock lock(mutex_);
     shutdown_ = true;
@@ -32,36 +22,6 @@ CommitPool::~CommitPool() {
   work_cv_.NotifyAll();
   for (std::thread& t : threads_) {
     t.join();
-  }
-}
-
-void CommitPool::SubmitAsync(std::function<void()> task) {
-  if (!async_started_) {
-    async_started_ = true;
-    async_thread_ = std::thread([this] { AsyncLoop(); });
-  }
-  {
-    MutexLock lock(async_mutex_);
-    async_tasks_.push_back(std::move(task));
-  }
-  async_cv_.NotifyOne();
-}
-
-void CommitPool::AsyncLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(async_mutex_);
-      while (async_tasks_.empty() && !async_shutdown_) {
-        async_cv_.Wait(async_mutex_);
-      }
-      if (async_tasks_.empty()) {
-        return;  // shutdown with the queue drained
-      }
-      task = std::move(async_tasks_.front());
-      async_tasks_.pop_front();
-    }
-    task();
   }
 }
 

@@ -12,7 +12,6 @@
 #ifndef SRC_STATE_COMMIT_POOL_H_
 #define SRC_STATE_COMMIT_POOL_H_
 
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -34,18 +33,8 @@ class CommitPool {
   // touch per-job state (the jobs are mutually independent by construction).
   void Run(size_t n_jobs, const std::function<void(size_t)>& fn);
 
-  // Enqueues a task on the pool's dedicated background thread (spawned lazily
-  // on the first submission), used by the chain.root_async pipeline to run a
-  // whole FinishCommit body off the critical path. Tasks execute one at a
-  // time in submission order; a task may itself call Run() — the submitting
-  // coordinator is blocked on the task's future by contract, so fold batches
-  // never overlap. Pending tasks are completed (not dropped) at destruction.
-  // Single-submitter: only the coordinator thread may call this.
-  void SubmitAsync(std::function<void()> task);
-
  private:
   void WorkerLoop(size_t thread_index);
-  void AsyncLoop();
 
   size_t workers_;
   std::vector<std::thread> threads_;
@@ -62,14 +51,6 @@ class CommitPool {
   size_t n_jobs_ FRN_GUARDED_BY(mutex_) = 0;
   size_t batch_seq_ FRN_GUARDED_BY(mutex_) = 0;  // bumped per batch; wakes the workers
   size_t done_jobs_ FRN_GUARDED_BY(mutex_) = 0;
-
-  // Async-commit lane (independent of the fold-batch handoff above).
-  Mutex async_mutex_;
-  CondVar async_cv_;
-  std::deque<std::function<void()>> async_tasks_ FRN_GUARDED_BY(async_mutex_);
-  bool async_shutdown_ FRN_GUARDED_BY(async_mutex_) = false;
-  bool async_started_ = false;  // written by the single submitter + destructor only
-  std::thread async_thread_;
 };
 
 }  // namespace frn

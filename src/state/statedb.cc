@@ -14,56 +14,6 @@
 
 namespace frn {
 
-void SharedStateCache::Reset(const Hash& root) {
-  MutexLock lock(mutex_);
-  root_ = root;
-  accounts_.clear();
-  storage_.clear();
-}
-
-Hash SharedStateCache::root() const {
-  ReaderLock lock(mutex_);
-  return root_;
-}
-
-std::optional<Account> SharedStateCache::GetAccount(const Address& addr) const {
-  ReaderLock lock(mutex_);
-  auto it = accounts_.find(addr);
-  if (it == accounts_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void SharedStateCache::PutAccount(const Address& addr, const Account& account) {
-  MutexLock lock(mutex_);
-  accounts_.emplace(addr, account);
-}
-
-std::optional<U256> SharedStateCache::GetStorage(const Address& addr, const U256& key) const {
-  ReaderLock lock(mutex_);
-  auto it = storage_.find(StateSlotKey{addr, key});
-  if (it == storage_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void SharedStateCache::PutStorage(const Address& addr, const U256& key, const U256& value) {
-  MutexLock lock(mutex_);
-  storage_.emplace(StateSlotKey{addr, key}, value);
-}
-
-size_t SharedStateCache::account_entries() const {
-  ReaderLock lock(mutex_);
-  return accounts_.size();
-}
-
-size_t SharedStateCache::storage_entries() const {
-  ReaderLock lock(mutex_);
-  return storage_.size();
-}
-
 // SnapshotHandle's special members live here because statedb.h cannot see
 // VersionedState (circular include); every path that drops a pin funnels
 // through NotifyRelease so the store can retry deferred base folds.
@@ -125,40 +75,9 @@ void SnapshotHandle::NotifyRelease() {
   }
 }
 
-RootFuture RootFuture::Ready(const Hash& root) {
-  RootFuture f = Pending();
-  f.Set(root);
-  return f;
-}
-
-RootFuture RootFuture::Pending() {
-  RootFuture f;
-  f.slot_ = std::make_shared<Slot>();
-  return f;
-}
-
-void RootFuture::Set(const Hash& root) {
-  MutexLock lock(slot_->mutex);
-  slot_->root = root;
-  slot_->ready = true;
-  slot_->cv.NotifyAll();
-}
-
-Hash RootFuture::Wait() const {
-  MutexLock lock(slot_->mutex);
-  while (!slot_->ready) {
-    slot_->cv.Wait(slot_->mutex);
-  }
-  return slot_->root;
-}
-
-StateDb::StateDb(Mpt* trie, const Hash& root, SharedStateCache* shared_cache,
-                 VersionedState* versioned, CommitPool* commit_pool)
-    : trie_(trie),
-      root_(root),
-      shared_cache_(shared_cache),
-      versioned_(versioned),
-      commit_pool_(commit_pool) {
+StateDb::StateDb(Mpt* trie, const Hash& root, VersionedState* versioned,
+                 CommitPool* commit_pool)
+    : trie_(trie), root_(root), versioned_(versioned), commit_pool_(commit_pool) {
   if (versioned_ != nullptr) {
     view_ = versioned_->AcquireAt(root_);
   }
@@ -243,13 +162,6 @@ Account& StateDb::Load(const Address& addr) {
     } else {
       ++stats_.versioned_misses;
       versioned_misses->Add();
-    }
-  }
-  if (!resolved && shared_cache_ != nullptr && shared_cache_->root() == root_) {
-    if (auto cached = shared_cache_->GetAccount(addr)) {
-      account = *cached;
-      resolved = true;
-      ++stats_.shared_cache_hits;
     }
   }
   if (!resolved) {
@@ -384,13 +296,6 @@ U256 StateDb::GetCommittedStorage(const Address& addr, const U256& key) {
     } else {
       ++stats_.versioned_misses;
       versioned_misses->Add();
-    }
-  }
-  if (!resolved && shared_cache_ != nullptr && shared_cache_->root() == root_) {
-    if (auto cached = shared_cache_->GetStorage(addr, key)) {
-      value = *cached;
-      resolved = true;
-      ++stats_.shared_cache_hits;
     }
   }
   if (!resolved) {
@@ -552,58 +457,42 @@ void StateDb::ApplyWriteSet(const TxWriteSet& ws, const Address& fee_account) {
   }
 }
 
-// The per-commit dirty set, captured on the calling thread by PrepareCommit.
-// Job pointers target this StateDb's account/storage caches (stable across
-// unordered_map inserts); the contract that the StateDb is untouched between
-// CommitAsync() and the future's Wait() is what keeps them valid while
-// FinishCommit runs on the commit pool's async thread.
-struct StateDb::CommitPlan {
+Hash StateDb::Commit() {
+  Hash state_root = root_.IsZero() ? Mpt::EmptyRoot() : root_;
+
+  // Phase 1: collect one fold job per account with dirty storage. Load() runs
+  // on the coordinator (the account cache and stats are not thread-safe); the
+  // fold later only touches per-job state.
+  // Map order decides only the job -> lane assignment, which feeds the
+  // modeled (schedule-dependent, documented-variable) timing fields; roots
+  // and counted stats are order-independent because the subtries are
+  // disjoint and content-addressed.
   struct StorageJob {
     StorageCache* cache = nullptr;
     Account* account = nullptr;
     Hash new_root;
     KvStore::StagedWrites staged;
   };
-  Hash parent_root;
   std::vector<StorageJob> jobs;
   // Dirty slots for the versioned store's forward delta (empty when no store
   // is attached).
-  std::vector<std::pair<StateSlotKey, U256>> slots;
-};
-
-StateDb::CommitPlan StateDb::PrepareCommit() {
-  CommitPlan plan;
-  plan.parent_root = root_.IsZero() ? Mpt::EmptyRoot() : root_;
-
-  // Phase 1: collect one job per account with dirty storage. Load() runs on
-  // the coordinator (the account cache and stats are not thread-safe); the
-  // fold later only touches per-job state.
-  // Map order decides only the job -> lane assignment, which feeds the
-  // modeled (schedule-dependent, documented-variable) timing fields; roots
-  // and counted stats are order-independent because the subtries are
-  // disjoint and content-addressed.
+  std::vector<std::pair<StateSlotKey, U256>> versioned_slots;
   for (auto& [addr, cache] : storage_) {  // frn:allow(unordered-iter)
     if (cache.current.empty()) {
       continue;
     }
-    CommitPlan::StorageJob job;
+    StorageJob job;
     job.cache = &cache;
     job.account = &Load(addr);
-    plan.jobs.push_back(std::move(job));
+    jobs.push_back(std::move(job));
     if (versioned_ != nullptr) {
       // Forward delta for the versioned store — per-key entries, so the
       // collection order does not matter (distinct keys commute).
       for (const auto& [key, value] : cache.current) {  // frn:allow(unordered-iter)
-        plan.slots.emplace_back(StateSlotKey{addr, key}, value);
+        versioned_slots.emplace_back(StateSlotKey{addr, key}, value);
       }
     }
   }
-  return plan;
-}
-
-Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
-  Hash state_root = plan.parent_root;
-  std::vector<CommitPlan::StorageJob>& jobs = plan.jobs;
 
   // Phase 2: fold + hash each account's storage subtrie. The subtries are
   // disjoint and content-addressed, so any schedule produces the same roots;
@@ -621,7 +510,7 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
   std::vector<double> job_cost(jobs.size(), 0.0);
   std::vector<double> job_io(jobs.size(), 0.0);
   auto fold = [&](size_t i) {
-    CommitPlan::StorageJob& job = jobs[i];
+    StorageJob& job = jobs[i];
     double cpu_start = ThreadCpuSeconds();
     KvStoreStats io;
     {
@@ -695,7 +584,7 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
   // Phase 3: one batched write of every staged node blob (single exclusive
   // lock, deterministic job order), then fold results into the accounts.
   KvStore::StagedWrites batch;
-  for (CommitPlan::StorageJob& job : jobs) {
+  for (StorageJob& job : jobs) {
     for (auto& kv : job.staged.blobs) {
       auto [it, inserted] = batch.index.emplace(kv.first, batch.blobs.size());
       if (inserted) {
@@ -719,7 +608,7 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
     }
     cache.current.clear();
   }
-  for (CommitPlan::StorageJob& job : jobs) {
+  for (StorageJob& job : jobs) {
     job.account->storage_root = job.new_root;
     job.account->exists = true;
   }
@@ -741,116 +630,44 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
     }
   }
 
-  // Phase 5: publish this block's forward delta as a new sealed version and
-  // re-pin the view at it. The synchronous path opens+seals in one step; the
-  // async path seals the version BeginCommit opened on the critical path.
+  // Phase 5: publish this block's forward delta as a new version and re-pin
+  // the view at it.
   if (versioned_ != nullptr) {
-    if (pending.valid()) {
-      view_ = versioned_->Seal(pending, state_root, std::move(versioned_accounts),
-                               std::move(plan.slots));
-    } else {
-      view_ = versioned_->Commit(view_, state_root, std::move(versioned_accounts),
-                                 std::move(plan.slots));
-    }
+    view_ = versioned_->Commit(view_, state_root, std::move(versioned_accounts),
+                               std::move(versioned_slots));
   }
   root_ = state_root;
   journal_.clear();
   return state_root;
 }
 
-Hash StateDb::Commit() {
-  CommitPlan plan = PrepareCommit();
-  return FinishCommit(plan, SnapshotHandle{});
-}
-
-RootFuture StateDb::CommitAsync() {
-  if (commit_pool_ == nullptr || versioned_ == nullptr || !view_.valid()) {
-    // Without a background thread and a pinned view there is nothing to take
-    // off the critical path — fall through to the synchronous pipeline.
-    return RootFuture::Ready(Commit());
+Account StateDb::WalkAccount(const Address& addr) {
+  Account account;
+  if (auto blob = trie_->Prefetch(root_, AccountKey(addr))) {
+    DecodeAccount(*blob, &account);
   }
-  static Counter* dispatches =
-      MetricsRegistry::Global().GetCounter("commit.async_dispatches");
-  // Capture the dirty set on the critical path (no store traffic), open the
-  // unsealed child version, and hand the folds + root authentication to the
-  // commit pool's async thread. The unsealed version is invisible to readers
-  // until Seal; the caller must not touch this StateDb until Wait() returns.
-  auto plan = std::make_shared<CommitPlan>(PrepareCommit());
-  SnapshotHandle pending = versioned_->BeginCommit(view_);
-  RootFuture future = RootFuture::Pending();
-  dispatches->Add();
-  commit_pool_->SubmitAsync([this, plan, pending, future]() mutable {
-    future.Set(FinishCommit(*plan, std::move(pending)));
-  });
-  return future;
+  return account;
 }
 
 void StateDb::PrefetchAccount(const Address& addr) {
-  if (versioned_ != nullptr && view_.valid()) {
-    // Pinned-view reads are served O(1) from the versioned store, so there is
-    // no trie path to warm — only the code blob still lives behind the store.
-    if (auto cached = versioned_->GetAccount(view_, addr)) {
-      if (!cached->code_hash.IsZero()) {
-        trie_->store()->Get(cached->code_hash);  // heats the code blob
-      }
-    }
-    return;
-  }
-  auto blob = trie_->Prefetch(root_, AccountKey(addr));
-  if (shared_cache_ != nullptr) {
-    if (shared_cache_->root() != root_) {
-      shared_cache_->Reset(root_);
-    }
-    Account account;
-    if (blob) {
-      DecodeAccount(*blob, &account);
-    }
-    shared_cache_->PutAccount(addr, account);
-    if (!account.code_hash.IsZero()) {
-      trie_->store()->Get(account.code_hash);  // heats the code blob
-    }
+  Account account = WalkAccount(addr);
+  if (!account.code_hash.IsZero()) {
+    trie_->store()->Get(account.code_hash);  // heats the code blob
   }
 }
 
 void StateDb::PrefetchStorage(const Address& addr, const U256& key) {
-  if (versioned_ != nullptr && view_.valid()) {
-    return;  // slot reads through a pinned view never walk the trie
-  }
+  // Under a pinned view the storage root is an O(1) read; the prefetcher has
+  // already walked the account path itself through PrefetchAccount.
   Account account;
-  bool have_account = false;
-  if (shared_cache_ != nullptr && shared_cache_->root() == root_) {
-    if (auto cached = shared_cache_->GetAccount(addr)) {
-      account = *cached;
-      have_account = true;
-    }
+  if (view_.valid()) {
+    account = versioned_->GetAccount(view_, addr).value_or(Account{});
+  } else {
+    account = WalkAccount(addr);
   }
-  if (!have_account) {
-    PrefetchAccount(addr);
-    if (shared_cache_ != nullptr) {
-      if (auto cached = shared_cache_->GetAccount(addr)) {
-        account = *cached;
-        have_account = true;
-      }
-    }
-  }
-  if (!have_account || !account.exists) {
-    return;
-  }
-  U256 value;
-  if (!account.storage_root.IsZero() && account.storage_root != Mpt::EmptyRoot()) {
-    auto blob = trie_->Prefetch(account.storage_root, StorageKey(key));
-    if (blob) {
-      RlpDecoder::Item item;
-      if (RlpDecoder::Decode(*blob, &item) && !item.is_list) {
-        value = U256::FromBigEndian(item.payload.data(), item.payload.size());
-      }
-    }
-  }
-  if (shared_cache_ != nullptr) {
-    if (shared_cache_->root() != root_) {
-      shared_cache_->Reset(root_);
-    }
-    shared_cache_->PutStorage(addr, key, value);
+  if (account.exists && !account.storage_root.IsZero() &&
+      account.storage_root != Mpt::EmptyRoot()) {
+    trie_->Prefetch(account.storage_root, StorageKey(key));
   }
 }
 

@@ -4,13 +4,13 @@
 // dirty values into the tries and produces the post-state root used for the
 // paper's Merkle-root correctness validation (§5.2). Committed reads are
 // served O(1) by the multi-version snapshot store (versioned_state.h) when
-// one is attached; the trie remains the authority for roots and for views the
-// store no longer retains.
+// one is attached — every Node view is — and the trie only authenticates.
+// Store-less instances (tests, examples, micro-benches) read the trie
+// directly; that path is the reference the identity tests replay against.
 #ifndef SRC_STATE_STATEDB_H_
 #define SRC_STATE_STATEDB_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -30,8 +30,8 @@ struct Account {
   bool exists = false;
 };
 
-// Composite key for one storage slot, shared by the SharedStateCache and the
-// versioned snapshot maps.
+// Composite key for one storage slot in the versioned snapshot maps and the
+// per-transaction write sets.
 struct StateSlotKey {
   Address addr;
   U256 key;
@@ -62,37 +62,11 @@ struct StateSlotKeyHasher {
   }
 };
 
-// Values read ahead of time by the prefetcher, shared between the speculative
-// and the critical-path StateDB instances. All entries are valid only for the
-// state root they were read at.
-//
-// Thread safety: lookups take a shared lock so speculation workers can read
-// concurrently; inserts and the per-block Reset take an exclusive lock (the
-// single-writer commit path). A reader that races a Reset simply misses and
-// falls back to the trie, which is always correct.
-class SharedStateCache {
- public:
-  void Reset(const Hash& root);
-  Hash root() const;
-
-  std::optional<Account> GetAccount(const Address& addr) const;
-  void PutAccount(const Address& addr, const Account& account);
-  std::optional<U256> GetStorage(const Address& addr, const U256& key) const;
-  void PutStorage(const Address& addr, const U256& key, const U256& value);
-
-  size_t account_entries() const;
-  size_t storage_entries() const;
-
- private:
-  mutable SharedMutex mutex_;
-  Hash root_ FRN_GUARDED_BY(mutex_);
-  std::unordered_map<Address, Account, AddressHasher> accounts_ FRN_GUARDED_BY(mutex_);
-  std::unordered_map<StateSlotKey, U256, StateSlotKeyHasher> storage_ FRN_GUARDED_BY(mutex_);
-};
-
 struct StateDbStats {
   uint64_t account_trie_reads = 0;
   uint64_t storage_trie_reads = 0;
+  // Always 0: no shared value cache exists any more. Kept because external
+  // benchmark drivers still read the field.
   uint64_t shared_cache_hits = 0;
   uint64_t versioned_hits = 0;    // reads answered by the versioned snapshot store
   uint64_t versioned_misses = 0;  // store attached but not retaining this root
@@ -103,7 +77,6 @@ struct StateDbStats {
   StateDbStats& operator+=(const StateDbStats& o) {
     account_trie_reads += o.account_trie_reads;
     storage_trie_reads += o.storage_trie_reads;
-    shared_cache_hits += o.shared_cache_hits;
     versioned_hits += o.versioned_hits;
     versioned_misses += o.versioned_misses;
     snapshots += o.snapshots;
@@ -113,7 +86,7 @@ struct StateDbStats {
   }
 };
 
-// Modeled cost accounting for the two-phase commit pipeline, accumulated per
+// Modeled cost accounting for the parallel commit pipeline, accumulated per
 // StateDb instance across its Commit() calls. Job costs are thread-CPU plus
 // deferred store latency (the ThreadCpuSeconds idiom the speculation pool
 // uses), so the serial/wall split holds on any host regardless of how many
@@ -140,7 +113,7 @@ struct VersionedReleaseHook {
   VersionedState* store FRN_GUARDED_BY(mutex) = nullptr;
 };
 
-// Consulted by StateDb ahead of its snapshot/shared-cache/trie read path: the
+// Consulted by StateDb ahead of its snapshot/trie read path: the
 // in-block multi-version write buffer of the optimistic parallel block
 // executor (src/state/block_stm.h). Returning nullopt falls through to the
 // pre-block state; implementations record the read either way so it can be
@@ -186,7 +159,7 @@ class SnapshotHandle {
   // Dropping (or overwriting, or Release()-ing) a pinned handle notifies the
   // issuing store through its release hook so deferred base folds retry
   // immediately — releasing the last pin on an idle chain must not leave
-  // deferred versions resident until some future seal. All five members are
+  // deferred versions resident until some future commit. All five members are
   // defined out of line in statedb.cc (versioned_state.h cannot be included
   // here).
   SnapshotHandle(const SnapshotHandle& o);
@@ -197,7 +170,7 @@ class SnapshotHandle {
 
   bool valid() const { return version_ != nullptr; }
   // Root/height of the pinned version, captured under the store's lock at
-  // acquisition time (zero / 0 for an invalid or not-yet-sealed handle).
+  // acquisition time (zero / 0 for an invalid handle).
   const Hash& root() const { return root_; }
   uint64_t height() const { return height_; }
   void Release();
@@ -219,46 +192,21 @@ class SnapshotHandle {
   std::shared_ptr<VersionedReleaseHook> hook_;
 };
 
-// Seal-time handshake for the asynchronous commit pipeline (chain.root_async):
-// the background fold publishes the authenticated root exactly once via Set();
-// Wait() blocks until it lands and is idempotent afterwards. Copies share one
-// underlying slot. A default-constructed future is invalid (nothing pending).
-class RootFuture {
- public:
-  RootFuture() = default;
-  // A future that already holds `root` (the synchronous-commit case).
-  static RootFuture Ready(const Hash& root);
-  static RootFuture Pending();
-
-  bool valid() const { return slot_ != nullptr; }
-  void Set(const Hash& root);
-  Hash Wait() const;
-
- private:
-  struct Slot {
-    Mutex mutex;
-    CondVar cv;
-    bool ready FRN_GUARDED_BY(mutex) = false;
-    Hash root FRN_GUARDED_BY(mutex);
-  };
-  std::shared_ptr<Slot> slot_;
-};
-
 // The production WorldState: the execution layers (evm/core/contracts) call
 // through the abstract interface; everything state-specific — commit,
 // prefetch, write-set extraction, the overlay hook — stays on the concrete
 // class and is only reachable from layers above state in the include DAG.
 class StateDb : public WorldState {
  public:
-  // Opens the world state at `root`. `shared_cache`, `versioned` and
-  // `commit_pool` may each be null. When `versioned` retains a sealed version
-  // for `root`, the constructor pins it and account/committed-slot reads are
-  // answered O(1) through the handle (authoritatively: a miss under a valid
-  // handle means definitive absence) — the trie is never walked; Commit seals
-  // the block's delta as a new version. `commit_pool` parallelizes Commit's
-  // independent storage-subtrie folds; roots are bit-identical either way.
-  StateDb(Mpt* trie, const Hash& root, SharedStateCache* shared_cache = nullptr,
-          VersionedState* versioned = nullptr, CommitPool* commit_pool = nullptr);
+  // Opens the world state at `root`. `versioned` and `commit_pool` may each
+  // be null. When `versioned` retains a version for `root`, the constructor
+  // pins it and account/committed-slot reads are answered O(1) through the
+  // handle (authoritatively: a miss under a valid handle means definitive
+  // absence) — the trie is never walked to read; Commit publishes the block's
+  // delta as a new version. `commit_pool` parallelizes Commit's independent
+  // storage-subtrie folds; roots are bit-identical either way.
+  StateDb(Mpt* trie, const Hash& root, VersionedState* versioned = nullptr,
+          CommitPool* commit_pool = nullptr);
 
   // ---- Account access (WorldState) ----
   bool Exists(const Address& addr) override;
@@ -291,7 +239,7 @@ class StateDb : public WorldState {
   void RevertToSnapshot(int id) override;
 
   // ---- Optimistic in-block overlay (src/state/block_stm.h) ----
-  // Attach an overlay consulted ahead of the snapshot/cache/trie read path.
+  // Attach an overlay consulted ahead of the snapshot/trie read path.
   // Overlay hits seed this instance's own caches exactly where a serial
   // predecessor's writes would sit (account cache / storage `current`), so
   // gas rules (committed vs current storage) behave identically to serial
@@ -314,20 +262,10 @@ class StateDb : public WorldState {
   // The StateDb remains usable and now reads through the new root.
   Hash Commit();
 
-  // Asynchronous variant for the chain.root_async pipeline: collects the
-  // block's dirty set on the calling thread (cheap — no store traffic), hands
-  // the trie folds + root authentication to the commit pool's background
-  // thread, and returns a future the caller awaits at block-seal time. The
-  // StateDb must not be touched between CommitAsync() and Wait() on the
-  // returned future. Falls back to a ready future around synchronous Commit()
-  // when no commit pool or versioned store is attached or the current view is
-  // not covered (the trie reads inside the folds would then race nothing but
-  // would not be O(1) off the critical path either).
-  RootFuture CommitAsync();
-
   // ---- Prefetch (off the critical path) ----
-  // Walks the trie paths for the given account/slot so the store's hot set and
-  // the shared cache are populated; never changes logical state.
+  // Walks the account's (and the slot's) trie path and heats the account's
+  // code blob, so the Merkle commit that re-hashes those paths finds every
+  // node hot. Caches no values and never changes logical state.
   void PrefetchAccount(const Address& addr);
   void PrefetchStorage(const Address& addr, const U256& key);
 
@@ -349,26 +287,19 @@ class StateDb : public WorldState {
     Hash prev_code_hash;
     bool prev_exists = false;
   };
-  struct CommitPlan;  // the dirty set captured by PrepareCommit (statedb.cc)
-
-  // Loads (and caches) the account object, reading through the pinned
-  // snapshot, the shared cache, and the trie, in that order.
+  // Loads (and caches) the account object, reading through the overlay, the
+  // pinned snapshot, and the trie, in that order.
   Account& Load(const Address& addr);
   static Bytes AccountKey(const Address& addr);
   static Bytes StorageKey(const U256& key);
   static Bytes EncodeAccount(const Account& a);
   static bool DecodeAccount(const Bytes& data, Account* out);
 
-  // Commit split: PrepareCommit snapshots the dirty accounts/slots on the
-  // calling thread; FinishCommit runs the trie folds, seals the new version,
-  // and publishes the root (synchronously inline, or on the commit pool's
-  // async thread under chain.root_async).
-  CommitPlan PrepareCommit();
-  Hash FinishCommit(CommitPlan& plan, SnapshotHandle pending);
+  // Walks (warming) the account's trie path and decodes what it finds.
+  Account WalkAccount(const Address& addr);
 
   Mpt* trie_;
   Hash root_;
-  SharedStateCache* shared_cache_;
   VersionedState* versioned_;
   CommitPool* commit_pool_;
   StateOverlay* overlay_ = nullptr;

@@ -16,7 +16,6 @@ VersionedState::VersionedState(size_t retention)
   }
   auto base = std::make_shared<StateVersion>();
   base->root = Mpt::EmptyRoot();
-  base->sealed = true;
   base->is_base = true;
   MutexLock lock(mutex_);
   by_root_[base->root] = base;
@@ -55,36 +54,31 @@ SnapshotHandle VersionedState::AcquireAt(const Hash& root) {
   return SnapshotHandle{};
 }
 
-SnapshotHandle VersionedState::BeginCommitLocked(const SnapshotHandle& parent) {
-  if (!parent.valid() || !parent.version_->sealed) {
+SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& root,
+                                      std::vector<std::pair<Address, Account>> accounts,
+                                      std::vector<std::pair<StateSlotKey, U256>> slots) {
+  static SecondsCounter* seal_seconds =
+      MetricsRegistry::Global().GetSeconds("state.seal_seconds");
+  static Counter* commits = MetricsRegistry::Global().GetCounter("state.commits");
+  static Counter* invalidations = MetricsRegistry::Global().GetCounter("state.invalidations");
+  static Gauge* retained = MetricsRegistry::Global().GetGauge("state.retained_versions");
+  TraceSpan span(&TraceCollector::Global(), "state", "versioned.seal", seal_seconds);
+  span.AddArg(TraceArg::U64("accounts", accounts.size()));
+  span.AddArg(TraceArg::U64("slots", slots.size()));
+  const Hash version_root = root.IsZero() ? Mpt::EmptyRoot() : root;
+  MutexLock lock(mutex_);
+  if (!parent.valid()) {
     // Committing on top of a view the store does not hold. The old flat layer
     // answered this by permanently invalidating itself; here the failure
     // stays local to this commit — every retained version keeps serving.
     ++stats_.invalidations;
-    static Counter* invalidations =
-        MetricsRegistry::Global().GetCounter("state.invalidations");
     invalidations->Add();
     return SnapshotHandle{};
   }
   auto v = std::make_shared<StateVersion>();
   v->height = parent.version_->height + 1;
   v->parent = parent.version_;
-  ++stats_.commits;
-  static Counter* commits = MetricsRegistry::Global().GetCounter("state.commits");
-  commits->Add();
-  return SnapshotHandle(std::move(v), Hash{}, parent.height() + 1);
-}
-
-SnapshotHandle VersionedState::BeginCommit(const SnapshotHandle& parent) {
-  MutexLock lock(mutex_);
-  return BeginCommitLocked(parent);
-}
-
-SnapshotHandle VersionedState::SealLocked(
-    const std::shared_ptr<StateVersion>& v, const Hash& root,
-    std::vector<std::pair<Address, Account>> accounts,
-    std::vector<std::pair<StateSlotKey, U256>> slots) {
-  const Hash sealed_root = root.IsZero() ? Mpt::EmptyRoot() : root;
+  v->root = version_root;
   v->delta_accounts.reserve(accounts.size());
   for (auto& [addr, account] : accounts) {
     v->delta_accounts.insert_or_assign(addr, account);
@@ -93,11 +87,10 @@ SnapshotHandle VersionedState::SealLocked(
   for (auto& [slot, value] : slots) {
     v->delta_slots.insert_or_assign(slot, value);
   }
-  v->root = sealed_root;
-  v->sealed = true;
-  by_root_[sealed_root] = v;  // latest-wins for repeated roots (empty blocks)
+  by_root_[version_root] = v;  // latest-wins for repeated roots (empty blocks)
   head_ = v;  // the store itself retains the head chain; see header comment
-  ++stats_.seals;
+  ++stats_.commits;
+  commits->Add();
   PruneLocked(v);
   // Drop index entries whose versions died (released handles past retention).
   for (auto it = by_root_.begin(); it != by_root_.end();) {  // frn:allow(unordered-iter): pure expired-entry sweep, order-independent
@@ -106,41 +99,12 @@ SnapshotHandle VersionedState::SealLocked(
   stats_.retained = by_root_.size();
   stats_.accounts = accounts_.size();
   stats_.slots = storage_.size();
-  static Gauge* retained = MetricsRegistry::Global().GetGauge("state.retained_versions");
   retained->Set(static_cast<double>(by_root_.size()));
   // The returned handle is copy-elided into the caller's frame, so its
   // release hook (hook->mutex -> store mutex_) never fires while mutex_ is
-  // held here; the pending handles Commit destroys under mutex_ carry no
-  // hook (BeginCommitLocked's three-argument constructor), so their release
-  // is lock-free.
+  // held here.
   // frn:allow(lock-order): guaranteed elision defers destruction past mutex_
-  return SnapshotHandle(v, sealed_root, v->height, hook_);
-}
-
-SnapshotHandle VersionedState::Seal(const SnapshotHandle& pending, const Hash& root,
-                                    std::vector<std::pair<Address, Account>> accounts,
-                                    std::vector<std::pair<StateSlotKey, U256>> slots) {
-  static SecondsCounter* seal_seconds =
-      MetricsRegistry::Global().GetSeconds("state.seal_seconds");
-  TraceSpan span(&TraceCollector::Global(), "state", "versioned.seal", seal_seconds);
-  if (!pending.valid()) {
-    return SnapshotHandle{};
-  }
-  span.AddArg(TraceArg::U64("accounts", accounts.size()));
-  span.AddArg(TraceArg::U64("slots", slots.size()));
-  MutexLock lock(mutex_);
-  return SealLocked(pending.version_, root, std::move(accounts), std::move(slots));
-}
-
-SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& root,
-                                      std::vector<std::pair<Address, Account>> accounts,
-                                      std::vector<std::pair<StateSlotKey, U256>> slots) {
-  MutexLock lock(mutex_);
-  SnapshotHandle pending = BeginCommitLocked(parent);
-  if (!pending.valid()) {
-    return pending;
-  }
-  return SealLocked(pending.version_, root, std::move(accounts), std::move(slots));
+  return SnapshotHandle(std::move(v), version_root, parent.height() + 1, hook_);
 }
 
 void VersionedState::PruneLocked(const std::shared_ptr<StateVersion>& tip) {
@@ -162,7 +126,7 @@ void VersionedState::PruneLocked(const std::shared_ptr<StateVersion>& tip) {
     // handle at the base — or an unretired fork branch hanging off it —
     // raises the count and defers the fold (costing memory, not correctness).
     // The pending flag makes the next handle release retry right here rather
-    // than waiting for a seal that an idle chain may never perform.
+    // than waiting for a commit that an idle chain may never perform.
     if (base_.use_count() != 2) {
       ++stats_.fold_deferrals;
       fold_pending_.store(true, std::memory_order_release);

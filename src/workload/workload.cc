@@ -72,6 +72,11 @@ ScenarioConfig ScenarioByName(const std::string& name) {
 
 std::vector<std::string> AllScenarioNames() { return {"L1", "R1", "R2", "R3", "R4", "R5"}; }
 
+bool IsScenarioName(const std::string& name) {
+  const std::vector<std::string> names = AllScenarioNames();
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
 Workload::Workload(const ScenarioConfig& config) : config_(config) {}
 
 size_t Workload::PickContract(size_t count, Rng* rng) const {

@@ -54,9 +54,12 @@ struct ScenarioConfig {
   DiceOptions dice;
 };
 
-// Named dataset configurations mirroring Table 1's L1 and R1-R5.
+// Named dataset configurations mirroring Table 1's L1 and R1-R5. `name` must
+// be one of AllScenarioNames(): command-line front ends check IsScenarioName
+// first, because an unknown name only asserts in debug builds.
 ScenarioConfig ScenarioByName(const std::string& name);
 std::vector<std::string> AllScenarioNames();
+bool IsScenarioName(const std::string& name);
 
 class Workload {
  public:

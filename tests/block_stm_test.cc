@@ -57,7 +57,7 @@ Hash MergeAndCommit(Mpt* trie, const Hash& root, const BlockContext& header,
 TEST(BlockStmTest, EmptyBlockConvergesTrivially) {
   TestWorld world;
   const Hash root = world.state().Commit();
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{4, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 1, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), {}, {}, ExecStrategy::kBaseline,
@@ -79,7 +79,7 @@ TEST(BlockStmTest, SingleTxMatchesSerial) {
   const Hash serial_root =
       RunSerial(&world.trie(), root, world.block(), txs, &serial_outcomes);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{4, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 1, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(1),
@@ -108,7 +108,7 @@ TEST(BlockStmTest, DisjointTransfersCommitInOneRound) {
   const Hash root = world.state().Commit();
   const Hash serial_root = RunSerial(&world.trie(), root, world.block(), txs, nullptr);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{4, 2, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 2, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(kTxs),
@@ -144,7 +144,7 @@ TEST(BlockStmTest, SharedCounterConflictsAreDeterministic) {
   EXPECT_EQ(check.GetStorage(feed, PriceFeed::CountSlot(round_id)), U256(kTxs));
 
   for (size_t workers : {2u, 4u}) {
-    ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr,
+    ParallelBlockExecutor exec(&world.trie(), nullptr,
                                ParallelExecOptions{workers, 2, 0});
     std::vector<ParallelTxResult> results;
     ParallelBlockStats stats;
@@ -182,7 +182,7 @@ TEST(BlockStmTest, AbortDuringReexecutionMatchesSerial) {
   ASSERT_EQ(serial_outcomes[0].result.status, ExecStatus::kSuccess);
   ASSERT_EQ(serial_outcomes[1].result.status, ExecStatus::kInsufficientBalance);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{2, 2, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 2, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -204,7 +204,7 @@ TEST(BlockStmTest, FeeAccountSenderFallsBackToSerial) {
                                   from_coinbase};
   const Hash root = world.state().Commit();
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   // The commutative fee exemption is unsound when the fee account sends;
@@ -239,7 +239,7 @@ TEST(BlockStmTest, CoinbaseBalanceReadFallsBackToSerial) {
       MetricsRegistry::Global().GetCounter("exec.fee_balance_fallbacks");
   const uint64_t fallbacks_before = fee_fallbacks->value();
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   EXPECT_FALSE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -277,7 +277,7 @@ TEST(BlockStmTest, NonCoinbaseBalanceReadsStayParallel) {
   const Hash root = world.state().Commit();
   const Hash serial_root = RunSerial(&world.trie(), root, world.block(), txs, nullptr);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -356,9 +356,6 @@ TEST_F(BlockStmNodeTest, RootsIdenticalAcrossWorkerCounts) {
   w2.chain.block_workers = 2;
   NodeOptions w4 = BaseOptions();
   w4.chain.block_workers = 4;
-  // The versioned + parallel combination must also hold: attempts read the
-  // pre-block snapshot through pinned handles.
-  w4.state.versioned = true;
   auto node2 = MakeNode(w2);
   auto node4 = MakeNode(w4);
   ASSERT_TRUE(node2->parallel_exec_enabled());
@@ -432,7 +429,7 @@ TEST(BlockStmTest, StressExecutorWithConcurrentSnapshotReaders) {
   std::vector<Hash> roots(kBlocks + 1);
   std::atomic<size_t> sealed{0};
   {
-    StateDb db(&trie, Mpt::EmptyRoot(), nullptr, &versioned);
+    StateDb db(&trie, Mpt::EmptyRoot(), &versioned);
     for (uint64_t s = 1; s <= kSenders; ++s) {
       db.AddBalance(Address::FromId(s), U256::Exp(U256(10), U256(21)));
     }
@@ -458,7 +455,7 @@ TEST(BlockStmTest, StressExecutorWithConcurrentSnapshotReaders) {
     readers.emplace_back(reader);
   }
 
-  ParallelBlockExecutor exec(&trie, nullptr, &versioned, ParallelExecOptions{4, 4, 0});
+  ParallelBlockExecutor exec(&trie, &versioned, ParallelExecOptions{4, 4, 0});
   for (uint64_t n = 1; n <= kBlocks; ++n) {
     header.number = n;
     std::vector<Transaction> txs;
@@ -477,7 +474,7 @@ TEST(BlockStmTest, StressExecutorWithConcurrentSnapshotReaders) {
     ASSERT_TRUE(exec.ExecuteBlock(roots[n - 1], header, txs, NoSpecs(kSenders),
                                   ExecStrategy::kBaseline, &results, &stats));
     EXPECT_EQ(stats.conflicts, 0u);
-    StateDb db(&trie, roots[n - 1], nullptr, &versioned);
+    StateDb db(&trie, roots[n - 1], &versioned);
     for (const ParallelTxResult& r : results) {
       db.ApplyWriteSet(r.writes, header.coinbase);
     }

@@ -9,6 +9,7 @@
 #include "src/contracts/contracts.h"
 #include "src/crypto/keccak.h"
 #include "src/forerunner/node.h"
+#include "src/replay/recording.h"
 #include "tests/test_util.h"
 
 namespace frn {
@@ -108,47 +109,40 @@ TEST_F(ChainRollbackTest, ReorgWindowIsConfigurable) {
 }
 
 TEST_F(ChainRollbackTest, DepthEightRollbackWithVersionedStoreMatchesTrieOnly) {
-  // Widen the undo window to the issue's depth-8 bound. The versioned node
-  // leaves state.retention at 0, so the store's retention derives from
-  // chain.max_reorg_depth — the auto-widening this test also exercises.
+  // Widen the undo window to depth 8; the node's versioned store retains as
+  // many versions, so every rollback inside the window is a handle swap.
   options_.chain.max_reorg_depth = 8;
-  auto plain = MakeNode();
-  options_.state.versioned = true;
-  options_.chain.root_async = true;
   options_.chain.commit_workers = 2;
-  auto versioned = MakeNode();
-  ASSERT_TRUE(versioned->versioned_enabled());
+  auto node = MakeNode();
 
   std::vector<Block> blocks;
-  std::vector<Hash> roots;  // roots[k] = root after block k+1
   for (uint64_t n = 1; n <= 9; ++n) {
     blocks.push_back(MakeBlock(n));
-    const Hash a = plain->ExecuteBlock(blocks.back(), 13.0 * n).state_root;
-    const Hash b = versioned->ExecuteBlock(blocks.back(), 13.0 * n).state_root;
-    ASSERT_EQ(a, b) << "block " << n;
-    roots.push_back(a);
+  }
+  // roots[k] = trie-only reference root after block k+1.
+  const std::vector<Hash> roots = ReplayTrieOnly(
+      [this](StateDb* state) { state->AddBalance(sender_, U256::Exp(U256(10), U256(21))); },
+      blocks);
+  for (uint64_t n = 1; n <= 9; ++n) {
+    ASSERT_EQ(node->ExecuteBlock(blocks[n - 1], 13.0 * n).state_root, roots[n - 1])
+        << "block " << n;
   }
 
-  // Walk the full depth-8 window back: every step is a handle swap on the
-  // versioned node and must land on the exact trie-only root.
+  // Walk the full depth-8 window back: every step must land on the exact
+  // trie-only root.
   for (size_t depth = 1; depth <= 8; ++depth) {
-    ASSERT_TRUE(versioned->CanRollback());
-    plain->RollbackHead();
-    versioned->RollbackHead();
-    EXPECT_EQ(versioned->head().number, 9u - depth);
-    EXPECT_EQ(versioned->head_root(), plain->head_root());
-    EXPECT_EQ(versioned->head_root(), roots[8 - depth]);
+    ASSERT_TRUE(node->CanRollback());
+    node->RollbackHead();
+    EXPECT_EQ(node->head().number, 9u - depth);
+    EXPECT_EQ(node->head_root(), roots[8 - depth]);
   }
-  EXPECT_TRUE(versioned->view_active());
+  EXPECT_TRUE(node->view_active());
 
   // Replaying the chain forward reproduces every root bit-identically.
   for (uint64_t n = 2; n <= 9; ++n) {
-    const Hash a = plain->ExecuteBlock(blocks[n - 1], 200.0 + n).state_root;
-    const Hash b = versioned->ExecuteBlock(blocks[n - 1], 200.0 + n).state_root;
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, roots[n - 1]);
+    EXPECT_EQ(node->ExecuteBlock(blocks[n - 1], 200.0 + n).state_root, roots[n - 1]);
   }
-  EXPECT_EQ(versioned->versioned_stats().invalidations, 0u);
+  EXPECT_EQ(node->versioned_stats().invalidations, 0u);
 }
 
 TEST(ChainManagerTest, ForkChoiceAdoptsByHeightThenFirstSeen) {

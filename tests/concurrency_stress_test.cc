@@ -1,8 +1,10 @@
 // Concurrency stress for the shared read path of the parallel speculation
-// engine: many reader threads (standing in for speculation workers) hammer the
-// SharedStateCache, the KvStore hot set, and StateDb snapshots of an old root
-// while a writer thread (standing in for the coordinator) commits new roots,
-// prefetches into the shared cache and Resets it. Run under
+// engine: many reader threads (standing in for speculation workers) pin a
+// VersionedState handle on an old root and read through it — directly and
+// through store-backed StateDb views — while store-less views of the same
+// root walk the trie and the KvStore hot set. Meanwhile a writer thread
+// (standing in for the coordinator) commits new versions on top, prefetches
+// the new head, and periodically cools the store. Run under
 // -DFRN_SANITIZE=thread (tools/run_tsan.sh) this must be race-free; under any
 // build it must show snapshot isolation — readers of the old root always see
 // the old values, no matter how many commits land concurrently.
@@ -14,6 +16,7 @@
 
 #include "src/crypto/keccak.h"
 #include "src/state/statedb.h"
+#include "src/state/versioned_state.h"
 
 namespace frn {
 namespace {
@@ -28,17 +31,20 @@ TEST(ConcurrencyStressTest, ReadersSeeImmutableSnapshotDuringCommits) {
   KvStore store(KvStore::Options{.cold_read_latency = std::chrono::nanoseconds(0),
                                  .hot_set_capacity = 256});
   Mpt trie(&store);
-  SharedStateCache shared;
+  VersionedState versioned(/*retention=*/4);
 
   // Build the snapshot root the readers will pin.
-  StateDb genesis(&trie, Mpt::EmptyRoot());
+  StateDb genesis(&trie, Mpt::EmptyRoot(), &versioned);
   for (size_t i = 0; i < kAccounts; ++i) {
     genesis.CreateAccount(Acct(i));
     genesis.SetBalance(Acct(i), U256(1000 + i));
     genesis.SetStorage(Acct(i), U256(1), U256(7 * i));
   }
   Hash snapshot_root = genesis.Commit();
-  shared.Reset(snapshot_root);
+  // The test's own pin keeps the snapshot acquirable for the whole run, far
+  // past the store's 4-version retention.
+  SnapshotHandle pin = versioned.AcquireAt(snapshot_root);
+  ASSERT_TRUE(pin.valid());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_errors{0};
@@ -49,39 +55,38 @@ TEST(ConcurrencyStressTest, ReadersSeeImmutableSnapshotDuringCommits) {
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r]() {
       // Each reader opens its own StateDb view of the pinned root, the way
-      // each speculation worker executes against the immutable head snapshot.
+      // each speculation worker executes against the immutable head
+      // snapshot; odd iterations use a store-less view that walks the trie.
       uint64_t iter = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        StateDb view(&trie, snapshot_root, &shared);
+        const bool through_store = iter % 2 == 0;
+        StateDb view(&trie, snapshot_root, through_store ? &versioned : nullptr);
         size_t i = (r * 31 + iter) % kAccounts;
         ++iter;
+        if (through_store && !view.view().valid()) {
+          reader_errors.fetch_add(1, std::memory_order_relaxed);
+        }
         if (view.GetBalance(Acct(i)) != U256(1000 + i) ||
             view.GetStorage(Acct(i), U256(1)) != U256(7 * i) ||
             view.GetNonce(Acct(i)) != 0) {
           reader_errors.fetch_add(1, std::memory_order_relaxed);
         }
-        // Exercise the shared cache lookups and the store hot set directly;
-        // a value is only trusted as snapshot data when the cache held the
-        // pinned root both before AND after the lookup (root() and
-        // GetAccount() are separate lock acquisitions, so the writer's Reset
-        // can land between them; the writer never returns to snapshot_root
-        // while readers run, so the double check rules that window out).
-        if (shared.root() == snapshot_root) {
-          auto cached = shared.GetAccount(Acct(i));
-          if (cached && cached->balance != U256(1000 + i) &&
-              shared.root() == snapshot_root) {
-            reader_errors.fetch_add(1, std::memory_order_relaxed);
-          }
+        // Direct handle reads: a fresh pin per iteration, racing the
+        // writer's commits and folds.
+        SnapshotHandle handle = versioned.AcquireAt(snapshot_root);
+        auto account = versioned.GetAccount(handle, Acct(i));
+        if (!account || account->balance != U256(1000 + i) ||
+            versioned.GetStorage(handle, Acct(i), U256(1)) != U256(7 * i)) {
+          reader_errors.fetch_add(1, std::memory_order_relaxed);
         }
-        shared.GetStorage(Acct(i), U256(1));
         reads_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
-  // Writer: commit new state on top, prefetch into the shared cache, and
-  // periodically Reset it — everything the coordinator does per block.
-  StateDb writer(&trie, snapshot_root, nullptr);
+  // Writer: commit new versions on top, prefetch the new head, and
+  // periodically cool the store — everything the coordinator does per block.
+  StateDb writer(&trie, snapshot_root, &versioned);
   Hash head = snapshot_root;
   for (int round = 0; round < kWriterRounds; ++round) {
     for (size_t i = 0; i < kAccounts; i += 4) {
@@ -90,8 +95,7 @@ TEST(ConcurrencyStressTest, ReadersSeeImmutableSnapshotDuringCommits) {
       writer.SetNonce(Acct(i), round + 1);
     }
     head = writer.Commit();
-    shared.Reset(head);
-    StateDb prefetch(&trie, head, &shared);
+    StateDb prefetch(&trie, head, &versioned);
     for (size_t i = 0; i < kAccounts; i += 8) {
       prefetch.PrefetchAccount(Acct(i));
       prefetch.PrefetchStorage(Acct(i), U256(1));
@@ -105,14 +109,12 @@ TEST(ConcurrencyStressTest, ReadersSeeImmutableSnapshotDuringCommits) {
   for (std::thread& t : readers) {
     t.join();
   }
-  // Return the cache to the pinned root only after the readers stopped: while
-  // they run, the cache root moves strictly away from snapshot_root, which is
-  // what makes the readers' before/after root double-check sound.
-  shared.Reset(snapshot_root);
 
   EXPECT_EQ(reader_errors.load(), 0u);
   EXPECT_GT(reads_done.load(), 0u);
   EXPECT_NE(head, snapshot_root);
+  EXPECT_TRUE(writer.view().valid());
+  EXPECT_EQ(versioned.stats().invalidations, 0u);
 
   // The persistent trie kept the snapshot fully intact through 40 commits.
   StateDb old_view(&trie, snapshot_root);

@@ -19,6 +19,11 @@ struct OpCase {
   const char* expected;
 };
 
+// Without a printer gtest lists the parameter as a byte dump of the five
+// pointers above, which differs on every run under ASLR; ctest registers that
+// text as part of each test's name, so the names would too.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 // 2^255 (the most negative two's-complement value).
 constexpr const char* kMin =
     "0x8000000000000000000000000000000000000000000000000000000000000000";

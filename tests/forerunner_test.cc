@@ -213,29 +213,6 @@ TEST_F(AcceleratorStrategyTest, NullSpeculationRunsEvm) {
   EXPECT_TRUE(out.result.ok());
 }
 
-TEST(PrefetcherTest, WarmsSharedCacheAndStore) {
-  TestWorld world;
-  Address user = world.Fund(1);
-  Address registry = world.Deploy(90, Registry::Code());
-  world.state().SetStorage(registry, U256(5), U256(55));
-  Hash root = world.state().Commit();
-  world.store().CoolAll();
-
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&world.trie(), &cache);
-  ReadSet reads;
-  reads.accounts.push_back(user);
-  reads.storage_keys.emplace_back(registry, U256(5));
-  prefetcher.Prefetch(root, reads);
-  EXPECT_GE(cache.account_entries(), 1u);
-  EXPECT_GE(cache.storage_entries(), 1u);
-
-  StateDb db(&world.trie(), root, &cache);
-  EXPECT_EQ(db.GetStorage(registry, U256(5)), U256(55));
-  EXPECT_EQ(db.stats().storage_trie_reads, 0u);
-}
-
 TEST(NodeTest, HeardPoolAndSpeculationLifecycle) {
   NodeOptions options;
   options.store.cold_read_latency = std::chrono::nanoseconds(0);

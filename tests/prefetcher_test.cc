@@ -1,8 +1,8 @@
-// Tests of the state prefetcher: it warms the KvStore hot set and the
-// SharedStateCache for everything a pre-execution read, it never changes
-// logical state (a commit after prefetching reproduces the same root), the
-// shared cache invalidates on Reset to a new root, and a version-retained root
-// skips the trie walks entirely.
+// Tests of the state prefetcher: it warms the KvStore hot set for everything
+// a pre-execution read, it never changes logical state (a commit after
+// prefetching reproduces the same root), and at a version-retained root —
+// where committed reads never walk the trie — it still walks the account and
+// storage paths, so the Merkle commit that re-hashes them finds every node hot.
 #include "src/forerunner/prefetcher.h"
 
 #include <gtest/gtest.h>
@@ -28,8 +28,9 @@ class PrefetcherTest : public ::testing::Test {
   PrefetcherTest() : store_(ModelStore()), trie_(&store_) {}
 
   // Three accounts: one with storage and code, one plain, one untouched.
-  Hash BuildState() {
-    StateDb db(&trie_, Mpt::EmptyRoot());
+  // With `versioned`, the commit also publishes a version at the root.
+  Hash BuildState(VersionedState* versioned = nullptr) {
+    StateDb db(&trie_, Mpt::EmptyRoot(), versioned);
     db.AddBalance(a_, U256(100));
     db.SetStorage(a_, U256(1), U256(11));
     db.SetStorage(a_, U256(2), U256(22));
@@ -51,26 +52,19 @@ class PrefetcherTest : public ::testing::Test {
   Address b_ = Address::FromId(2);
 };
 
-TEST_F(PrefetcherTest, WarmsHotSetAndSharedCacheOffTheCriticalPath) {
+TEST_F(PrefetcherTest, WarmsHotSetOffTheCriticalPath) {
   Hash root = BuildState();
   store_.CoolAll();
   store_.ResetStats();
 
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&trie_, &cache);
+  Prefetcher prefetcher(&trie_);
   prefetcher.Prefetch(root, ReadsForAB());
 
   // The prefetch walk itself paid the cold reads...
   EXPECT_GT(store_.stats().cold_reads, 0u);
-  // ...and populated the shared cache with the resolved values.
-  EXPECT_EQ(cache.account_entries(), 2u);
-  EXPECT_EQ(cache.storage_entries(), 2u);
-  ASSERT_TRUE(cache.GetAccount(a_).has_value());
-  EXPECT_EQ(cache.GetStorage(a_, U256(1)).value_or(U256(0)), U256(11));
 
-  // A critical-path reader WITHOUT the shared cache re-walks the trie, but
-  // every node it needs is now hot: zero cold reads, zero stall.
+  // ...so a store-less critical-path reader re-walks the trie, but every
+  // node it needs is now hot: zero cold reads, zero stall.
   store_.ResetStats();
   StateDb critical(&trie_, root);
   EXPECT_EQ(critical.GetBalance(a_), U256(100));
@@ -83,9 +77,7 @@ TEST_F(PrefetcherTest, WarmsHotSetAndSharedCacheOffTheCriticalPath) {
 
 TEST_F(PrefetcherTest, NeverChangesLogicalStateOrRoot) {
   Hash root = BuildState();
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&trie_, &cache);
+  Prefetcher prefetcher(&trie_);
 
   ReadSet reads = ReadsForAB();
   // Include locations that do not exist: prefetching absence is legal.
@@ -94,54 +86,39 @@ TEST_F(PrefetcherTest, NeverChangesLogicalStateOrRoot) {
   prefetcher.Prefetch(root, reads);
 
   // A fresh state view opened at the same root commits to the same root:
-  // prefetching loaded caches but wrote nothing logical.
-  StateDb db(&trie_, root, &cache);
+  // prefetching warmed nodes but wrote nothing logical.
+  StateDb db(&trie_, root);
   EXPECT_EQ(db.GetBalance(a_), U256(100));
   EXPECT_EQ(db.GetBalance(Address::FromId(99)), U256(0));
   EXPECT_EQ(db.Commit(), root);
 }
 
-TEST_F(PrefetcherTest, SharedCacheInvalidatesOnRootReset) {
-  Hash root = BuildState();
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&trie_, &cache);
-  prefetcher.Prefetch(root, ReadsForAB());
-  ASSERT_GT(cache.account_entries(), 0u);
-
-  // The head moved: everything cached for the old root is dropped.
-  Hash new_root = Keccak256Word(U256(0x1234));
-  cache.Reset(new_root);
-  EXPECT_EQ(cache.account_entries(), 0u);
-  EXPECT_EQ(cache.storage_entries(), 0u);
-  EXPECT_FALSE(cache.GetAccount(a_).has_value());
-  EXPECT_EQ(cache.root(), new_root);
-}
-
-TEST_F(PrefetcherTest, RetainedRootSkipsTrieWalks) {
+TEST_F(PrefetcherTest, RetainedRootPrefetchWarmsTheCommit) {
   VersionedState versioned(4);
-  Hash root;
-  {
-    StateDb db(&trie_, Mpt::EmptyRoot(), nullptr, &versioned);
-    db.AddBalance(a_, U256(100));
-    db.SetStorage(a_, U256(1), U256(11));
-    db.AddBalance(b_, U256(200));
-    root = db.Commit();
-  }
+  Hash root = BuildState(&versioned);
   ASSERT_TRUE(versioned.AcquireAt(root).valid());
   store_.CoolAll();
   store_.ResetStats();
 
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&trie_, &cache, &versioned);
+  Prefetcher prefetcher(&trie_, &versioned);
   prefetcher.Prefetch(root, ReadsForAB());
+  EXPECT_GT(store_.stats().cold_reads, 0u);  // the walks happened here
 
-  // Accounts and slots are already O(1) through the pinned snapshot handle
-  // and none of these accounts carry code, so the prefetch touches the store
-  // not at all.
-  EXPECT_EQ(store_.stats().reads, 0u);
+  // The critical path reads through the pinned view (never the trie), then
+  // commits: the account and storage Puts re-walk exactly the prefetched
+  // paths, and find every node hot.
+  store_.ResetStats();
+  StateDb db(&trie_, root, &versioned);
+  ASSERT_TRUE(db.view().valid());
+  db.AddBalance(a_, U256(1));
+  db.SetStorage(a_, U256(1), U256(12));
+  db.SetStorage(a_, U256(2), U256(23));
+  db.AddBalance(b_, U256(1));
+  Hash next = db.Commit();
+  EXPECT_NE(next, root);
+  EXPECT_EQ(db.stats().account_trie_reads + db.stats().storage_trie_reads, 0u);
   EXPECT_EQ(store_.stats().cold_reads, 0u);
+  EXPECT_DOUBLE_EQ(store_.stats().stall_seconds, 0.0);
 }
 
 TEST_F(PrefetcherTest, RetainedRootStillHeatsCodeBlobs) {
@@ -149,7 +126,7 @@ TEST_F(PrefetcherTest, RetainedRootStillHeatsCodeBlobs) {
   Hash root;
   Bytes code{0x60, 0x00, 0x60, 0x00, 0xF3};
   {
-    StateDb db(&trie_, Mpt::EmptyRoot(), nullptr, &versioned);
+    StateDb db(&trie_, Mpt::EmptyRoot(), &versioned);
     db.AddBalance(a_, U256(100));
     db.SetCode(a_, code);
     root = db.Commit();
@@ -158,16 +135,13 @@ TEST_F(PrefetcherTest, RetainedRootStillHeatsCodeBlobs) {
   store_.CoolAll();
   store_.ResetStats();
 
-  SharedStateCache cache;
-  cache.Reset(root);
-  Prefetcher prefetcher(&trie_, &cache, &versioned);
+  Prefetcher prefetcher(&trie_, &versioned);
   ReadSet reads;
   reads.accounts = {a_};
   prefetcher.Prefetch(root, reads);
 
-  // Code lives behind the store, not in the version maps: the prefetch pays
-  // exactly the code-blob read (no trie-node walks) and leaves it hot.
-  EXPECT_EQ(store_.stats().reads, 1u);
+  // Code lives behind the store, not in the version maps: the prefetch
+  // leaves the blob hot for the critical path's GetCode.
   Hash code_hash = Keccak256(code);
   EXPECT_TRUE(store_.IsHot(code_hash));
 }

@@ -140,51 +140,6 @@ TEST_F(StateDbTest, ZeroStorageWriteDeletesSlot) {
   EXPECT_EQ(root_after_clear, root_before);
 }
 
-TEST_F(StateDbTest, SharedCacheServesPrefetchedValues) {
-  Address a = Address::FromId(10);
-  Hash root;
-  {
-    StateDb db(&trie_, Mpt::EmptyRoot());
-    db.AddBalance(a, U256(500));
-    db.SetStorage(a, U256(1), U256(111));
-    root = db.Commit();
-  }
-  SharedStateCache cache;
-  cache.Reset(root);
-  // Prefetch off the critical path.
-  {
-    StateDb prefetcher(&trie_, root, &cache);
-    prefetcher.PrefetchAccount(a);
-    prefetcher.PrefetchStorage(a, U256(1));
-  }
-  EXPECT_EQ(cache.account_entries(), 1u);
-  EXPECT_EQ(cache.storage_entries(), 1u);
-  // Critical path: reads served from the shared cache, no trie reads.
-  StateDb db(&trie_, root, &cache);
-  EXPECT_EQ(db.GetBalance(a), U256(500));
-  EXPECT_EQ(db.GetStorage(a, U256(1)), U256(111));
-  EXPECT_EQ(db.stats().account_trie_reads, 0u);
-  EXPECT_EQ(db.stats().storage_trie_reads, 0u);
-  EXPECT_GE(db.stats().shared_cache_hits, 2u);
-}
-
-TEST_F(StateDbTest, SharedCacheIgnoredAtDifferentRoot) {
-  Address a = Address::FromId(11);
-  StateDb setup(&trie_, Mpt::EmptyRoot());
-  setup.AddBalance(a, U256(5));
-  Hash root = setup.Commit();
-
-  SharedStateCache cache;
-  cache.Reset(Mpt::EmptyRoot());  // stale root
-  Account bogus;
-  bogus.balance = U256(12345);
-  bogus.exists = true;
-  cache.PutAccount(a, bogus);
-
-  StateDb db(&trie_, root, &cache);
-  EXPECT_EQ(db.GetBalance(a), U256(5));  // must read the trie, not the stale cache
-}
-
 // Property sweep: randomized mutate/snapshot/revert/commit sequences keep the
 // StateDb consistent with a plain reference model.
 class StateDbModelProperty : public ::testing::TestWithParam<int> {};
@@ -303,7 +258,7 @@ TEST_F(StateDbTest, VersionedStoreServesCommittedReadsWithoutTrieWalks) {
   Address b = Address::FromId(2);
   Hash root;
   {
-    StateDb db(&trie_, Mpt::EmptyRoot(), nullptr, &versioned);
+    StateDb db(&trie_, Mpt::EmptyRoot(), &versioned);
     db.AddBalance(a, U256(100));
     db.SetStorage(a, U256(1), U256(11));
     db.AddBalance(b, U256(200));
@@ -311,7 +266,7 @@ TEST_F(StateDbTest, VersionedStoreServesCommittedReadsWithoutTrieWalks) {
   }
   ASSERT_TRUE(versioned.AcquireAt(root).valid());
 
-  StateDb db(&trie_, root, nullptr, &versioned);
+  StateDb db(&trie_, root, &versioned);
   ASSERT_TRUE(db.view().valid());
   EXPECT_EQ(db.GetBalance(a), U256(100));
   EXPECT_EQ(db.GetStorage(a, U256(1)), U256(11));
@@ -340,7 +295,7 @@ TEST_F(StateDbTest, VersionedMissFallsBackToTrieOnUnretainedRoot) {
   }
   ASSERT_FALSE(versioned.AcquireAt(root).valid());
 
-  StateDb db(&trie_, root, nullptr, &versioned);
+  StateDb db(&trie_, root, &versioned);
   EXPECT_FALSE(db.view().valid());
   EXPECT_EQ(db.GetBalance(a), U256(5));
   StateDbStats s = db.stats();

@@ -2,8 +2,8 @@
 // reads, fork commits without invalidation, retention folding (including
 // pinned-handle deferral), stale-parent refusal staying local, concurrent
 // readers pinning views through commit/fork churn (the TSan target), and
-// node-level identity of the versioned + async-root pipelines against the
-// trie-only reference across rollbacks and worker counts.
+// node-level identity of store-backed nodes against the trie-only reference
+// replay across rollbacks and commit-worker counts.
 #include "src/state/versioned_state.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "src/crypto/keccak.h"
 #include "src/forerunner/node.h"
+#include "src/replay/recording.h"
 
 namespace frn {
 namespace {
@@ -22,7 +23,7 @@ namespace {
 Hash RootFor(uint64_t n) { return Keccak256Word(U256(n)); }
 
 // Direct-store commit helper: one account delta (id 1 = balance n) plus one
-// slot delta (slot 7 = 10n), sealed under a synthetic distinct root.
+// slot delta (slot 7 = 10n), committed under a synthetic distinct root.
 SnapshotHandle CommitDelta(VersionedState* store, const SnapshotHandle& parent,
                            uint64_t n) {
   Account account;
@@ -94,7 +95,7 @@ TEST(VersionedStateTest, RetentionFoldsOldVersionsIntoBase) {
     ASSERT_TRUE(h.valid());
   }
   VersionedStateStats stats = store.stats();
-  EXPECT_EQ(stats.seals, 5u);
+  EXPECT_EQ(stats.commits, 5u);
   EXPECT_GE(stats.folds, 3u);
   EXPECT_LE(stats.depth, 2u);
   // The folded base still answers for its own root; roots folded past it are
@@ -216,10 +217,10 @@ TEST(VersionedStateTest, ConcurrentReadersPinThroughCommitAndForkChurn) {
     t.join();
   }
   EXPECT_EQ(store.stats().invalidations, 0u);
-  EXPECT_EQ(store.stats().seals, kRounds + kRounds / 7);
+  EXPECT_EQ(store.stats().commits, kRounds + kRounds / 7);
 }
 
-// ---- Node-level identity: versioned / async pipelines vs trie-only ----
+// ---- Node-level identity: store-backed nodes vs the trie-only replay ----
 
 class VersionedNodeTest : public ::testing::Test {
  protected:
@@ -232,11 +233,17 @@ class VersionedNodeTest : public ::testing::Test {
     return options;
   }
 
+  void Genesis(StateDb* state) const {
+    state->AddBalance(sender_, U256::Exp(U256(10), U256(21)));
+  }
+
   std::unique_ptr<Node> MakeNode(const NodeOptions& options) {
-    auto genesis = [this](StateDb* state) {
-      state->AddBalance(sender_, U256::Exp(U256(10), U256(21)));
-    };
-    return std::make_unique<Node>(options, genesis);
+    return std::make_unique<Node>(options, [this](StateDb* state) { Genesis(state); });
+  }
+
+  // The trie-only reference roots of blocks 1..n.
+  std::vector<Hash> ReferenceRoots(const std::vector<Block>& blocks) {
+    return ReplayTrieOnly([this](StateDb* state) { Genesis(state); }, blocks);
   }
 
   Block MakeBlock(uint64_t number) {
@@ -259,67 +266,55 @@ class VersionedNodeTest : public ::testing::Test {
 };
 
 TEST_F(VersionedNodeTest, MatchesPlainNodeAndFollowsRollbacks) {
-  NodeOptions versioned_options = BaseOptions();
-  versioned_options.state.versioned = true;
-  auto plain = MakeNode(BaseOptions());
-  auto versioned = MakeNode(versioned_options);
-  ASSERT_TRUE(versioned->versioned_enabled());
-  ASSERT_TRUE(versioned->view_active());
+  auto node = MakeNode(BaseOptions());
+  ASSERT_TRUE(node->view_active());
 
   std::vector<Block> blocks;
-  std::vector<Hash> roots;
   for (uint64_t n = 1; n <= 5; ++n) {
     blocks.push_back(MakeBlock(n));
-    const Hash a = plain->ExecuteBlock(blocks.back(), 13.0 * n).state_root;
-    const Hash b = versioned->ExecuteBlock(blocks.back(), 13.0 * n).state_root;
-    ASSERT_EQ(a, b) << "block " << n;
-    roots.push_back(a);
+  }
+  const std::vector<Hash> roots = ReferenceRoots(blocks);
+  for (uint64_t n = 1; n <= 5; ++n) {
+    ASSERT_EQ(node->ExecuteBlock(blocks[n - 1], 13.0 * n).state_root, roots[n - 1])
+        << "block " << n;
   }
 
-  // A depth-2 reorg is a handle swap on the versioned node; both nodes land
-  // on the same restored root and replay to identical roots.
-  for (int d = 0; d < 2; ++d) {
-    plain->RollbackHead();
-    versioned->RollbackHead();
-  }
-  EXPECT_EQ(plain->head_root(), versioned->head_root());
-  EXPECT_EQ(versioned->head_root(), roots[2]);
-  EXPECT_TRUE(versioned->view_active());
+  // A depth-2 reorg is a handle swap; the node lands on the reference root
+  // and replays to identical roots.
+  node->RollbackHead();
+  node->RollbackHead();
+  EXPECT_EQ(node->head_root(), roots[2]);
+  EXPECT_TRUE(node->view_active());
   for (uint64_t n = 4; n <= 5; ++n) {
-    const Hash a = plain->ExecuteBlock(blocks[n - 1], 100.0 + n).state_root;
-    const Hash b = versioned->ExecuteBlock(blocks[n - 1], 100.0 + n).state_root;
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, roots[n - 1]);
+    EXPECT_EQ(node->ExecuteBlock(blocks[n - 1], 100.0 + n).state_root, roots[n - 1]);
   }
-  EXPECT_EQ(versioned->versioned_stats().invalidations, 0u);
-  EXPECT_GT(versioned->chain_state_stats().versioned_hits, 0u);
+  EXPECT_EQ(node->versioned_stats().invalidations, 0u);
+  StateDbStats reads = node->chain_state_stats();
+  EXPECT_GT(reads.versioned_hits, 0u);
+  EXPECT_EQ(reads.account_trie_reads + reads.storage_trie_reads, 0u);
 }
 
-TEST_F(VersionedNodeTest, AsyncRootMatchesSyncAtAnyWorkerCount) {
-  NodeOptions sync2 = BaseOptions();
-  sync2.state.versioned = true;
-  sync2.chain.commit_workers = 2;
-  NodeOptions async1 = BaseOptions();
-  async1.state.versioned = true;
-  async1.chain.root_async = true;
-  NodeOptions async4 = BaseOptions();
-  async4.state.versioned = true;
-  async4.chain.root_async = true;
-  async4.chain.commit_workers = 4;
-
-  auto plain = MakeNode(BaseOptions());
-  auto node_sync2 = MakeNode(sync2);
-  auto node_async1 = MakeNode(async1);
-  auto node_async4 = MakeNode(async4);
+TEST_F(VersionedNodeTest, RootsMatchAtAnyCommitWorkerCount) {
+  NodeOptions w2 = BaseOptions();
+  w2.chain.commit_workers = 2;
+  NodeOptions w4 = BaseOptions();
+  w4.chain.commit_workers = 4;
+  auto node1 = MakeNode(BaseOptions());
+  auto node2 = MakeNode(w2);
+  auto node4 = MakeNode(w4);
+  std::vector<Block> blocks;
   for (uint64_t n = 1; n <= 5; ++n) {
-    Block block = MakeBlock(n);
-    const Hash expected = plain->ExecuteBlock(block, 13.0 * n).state_root;
-    EXPECT_EQ(node_sync2->ExecuteBlock(block, 13.0 * n).state_root, expected);
-    EXPECT_EQ(node_async1->ExecuteBlock(block, 13.0 * n).state_root, expected);
-    EXPECT_EQ(node_async4->ExecuteBlock(block, 13.0 * n).state_root, expected);
+    blocks.push_back(MakeBlock(n));
   }
-  EXPECT_EQ(node_async4->versioned_stats().invalidations, 0u);
-  EXPECT_TRUE(node_async4->view_active());
+  const std::vector<Hash> roots = ReferenceRoots(blocks);
+  for (uint64_t n = 1; n <= 5; ++n) {
+    const Block& block = blocks[n - 1];
+    EXPECT_EQ(node1->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
+    EXPECT_EQ(node2->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
+    EXPECT_EQ(node4->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
+  }
+  EXPECT_EQ(node4->versioned_stats().invalidations, 0u);
+  EXPECT_TRUE(node4->view_active());
 }
 
 }  // namespace

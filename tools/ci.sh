@@ -13,10 +13,11 @@
 #                   [skipped when clang-format is not installed]
 #   tier1           default build + full ctest suite (build/)
 #   reorg-gate      bench_reorg_stress determinism/consistency gate
-#   flat-gate       bench_flat_state equivalence gate (versioned store vs
-#                   trie-only, no-fork invalidation gate)
-#   versioned-gate  bench_versioned_state gates: handle-acquire cost, async
-#                   commit critical-path reduction, reorg-depth sweep
+#   versioned-gate  bench_versioned_state gates: handle-acquire cost,
+#                   trie-only vs store-backed commit roots and the modeled
+#                   4-worker fold speedup, zero critical-path trie reads and
+#                   full store coverage on L1 with and without fork churn,
+#                   reorg-depth sweep against the trie-only replay
 #   block-stm-gate  bench_block_stm gates: bit-identical roots at 1/2/4
 #                   block workers under low- and high-conflict traffic,
 #                   deterministic conflict counts, >= 2x modeled speedup
@@ -170,10 +171,6 @@ stage_reorg_gate() {
   "${repo_root}/build/bench/bench_reorg_stress" --json "${repo_root}/build/BENCH_reorg_stress.json"
 }
 
-stage_flat_gate() {
-  "${repo_root}/build/bench/bench_flat_state" --json "${repo_root}/build/BENCH_flat_state.json"
-}
-
 stage_versioned_gate() {
   "${repo_root}/build/bench/bench_versioned_state" --json "${repo_root}/build/BENCH_versioned_state.json"
 }
@@ -187,8 +184,7 @@ stage_persist_smoke() {
   dir="$(mktemp -d)" || return 1
   local sim="${repo_root}/build/tools/forerunner_sim"
   local run_out recover_out run_root recover_root status=1
-  if run_out="$("${sim}" run --scenario L1 --duration 20 --versioned 1 \
-      --root-async 1 --persist-dir "${dir}/state")" &&
+  if run_out="$("${sim}" run --scenario L1 --duration 20 --persist-dir "${dir}/state")" &&
      recover_out="$("${sim}" recover --persist-dir "${dir}/state")"; then
     echo "${run_out}" | tail -n 3
     echo "${recover_out}"
@@ -255,7 +251,6 @@ fi
 
 run_stage tier1 stage_tier1
 run_stage reorg-gate stage_reorg_gate
-run_stage flat-gate stage_flat_gate
 run_stage versioned-gate stage_versioned_gate
 run_stage block-stm-gate stage_block_stm_gate
 run_stage persist-smoke stage_persist_smoke

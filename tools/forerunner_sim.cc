@@ -3,12 +3,11 @@
 // Usage:
 //   forerunner_sim run [--scenario L1] [--strategy forerunner|baseline|
 //                       perfect|perfect-multi] [--duration SECONDS]
-//                      [--fork-depth N] [--versioned 0|1] [--retention N]
-//                      [--root-async 0|1] [--persist-dir DIR]
+//                      [--fork-depth N] [--persist-dir DIR]
 //                      [--commit-workers N] [--record FILE] [--trace-out FILE]
 //                      [--stats-out FILE] [--trace-sample RATE]
-//   forerunner_sim replay --from FILE [--strategy ...] [--trace-out FILE]
-//                         [--stats-out FILE]
+//   forerunner_sim replay --from FILE [--strategy ...] [--commit-workers N]
+//                         [--trace-out FILE] [--stats-out FILE]
 //   forerunner_sim recover --persist-dir DIR
 //   forerunner_sim scenarios
 //
@@ -18,18 +17,20 @@
 // --trace-out captures the transaction-lifecycle spans as Chrome trace_event
 // JSON (load it in chrome://tracing or feed it to tools/trace_summary.py);
 // --stats-out writes the strategy node's stats plus the global metrics
-// registry snapshot. --versioned 1 (alias: --flat 1) enables the versioned
-// snapshot state store, --root-async 1 moves Merkle-root computation off the
-// critical path, and --commit-workers N the parallel trie commit — all on the
-// strategy node only, so the "roots consistent" line doubles as a
-// versioned-on vs versioned-off identity check against the trie-backed
-// baseline. --persist-dir attaches an append-only segment log under DIR; a
-// later `recover` run (or another `run` over the same DIR) reopens the store
-// at the persisted head root. --retention deepens the version window beyond
-// the max(fork depth, chain.max_reorg_depth) floor; a nonzero value shallower
-// than the configured fork depth is rejected.
+// registry snapshot. --commit-workers N runs the strategy node's trie commit
+// on N fold workers, so the "roots consistent" line doubles as a
+// worker-count identity check against the baseline. --persist-dir attaches
+// an append-only segment log under DIR; a later `recover` run (or another
+// `run` over the same DIR) reopens the store at the persisted head root.
+//
+// Bad input is rejected, never defaulted: an unknown subcommand, flag,
+// scenario (on the command line or named by a recording) or strategy, or a
+// malformed number, prints the error and the usage and exits 2.
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -44,17 +45,52 @@ using namespace frn;
 
 namespace {
 
-ExecStrategy ParseStrategy(const std::string& name) {
-  if (name == "baseline") {
-    return ExecStrategy::kBaseline;
+// Each commit worker is an OS thread; a typo must not spawn thousands.
+constexpr size_t kMaxCommitWorkers = 256;
+
+bool ParseStrategy(const std::string& name, ExecStrategy* out) {
+  if (name == "forerunner") {
+    *out = ExecStrategy::kForerunner;
+  } else if (name == "baseline") {
+    *out = ExecStrategy::kBaseline;
+  } else if (name == "perfect") {
+    *out = ExecStrategy::kPerfectMatch;
+  } else if (name == "perfect-multi") {
+    *out = ExecStrategy::kPerfectMulti;
+  } else {
+    return false;
   }
-  if (name == "perfect") {
-    return ExecStrategy::kPerfectMatch;
+  return true;
+}
+
+// Whole-string numeric parses: trailing garbage, a sign on a count, an empty
+// value, or a negative or non-finite real is an error, not a prefix or a zero.
+bool ParseSize(const std::string& text, size_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return false;
   }
-  if (name == "perfect-multi") {
-    return ExecStrategy::kPerfectMulti;
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0') {
+    return false;
   }
-  return ExecStrategy::kForerunner;
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(value) || value < 0) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 void PrintSummary(const SimReport& report, size_t node_index) {
@@ -70,19 +106,26 @@ void PrintSummary(const SimReport& report, size_t node_index) {
   std::printf("roots consistent:     %s\n", report.roots_consistent ? "yes" : "NO (BUG)");
 }
 
-int Usage() {
+int Usage(const std::string& error = "") {
+  if (!error.empty()) {
+    std::fprintf(stderr, "forerunner_sim: %s\n", error.c_str());
+  }
+  std::string scenarios;
+  for (const std::string& name : AllScenarioNames()) {
+    scenarios += (scenarios.empty() ? "" : "|") + name;
+  }
   std::fprintf(stderr,
                "usage:\n"
-               "  forerunner_sim run [--scenario L1] [--strategy forerunner] "
-               "[--duration SEC] [--fork-depth N] [--versioned 0|1] "
-               "[--retention N] [--root-async 0|1] [--persist-dir DIR] "
+               "  forerunner_sim run [--scenario %s] "
+               "[--strategy forerunner|baseline|perfect|perfect-multi] "
+               "[--duration SEC] [--fork-depth N] [--persist-dir DIR] "
                "[--commit-workers N] [--record FILE] "
                "[--trace-out FILE] [--stats-out FILE] [--trace-sample RATE]\n"
                "  forerunner_sim replay --from FILE [--strategy forerunner] "
-               "[--versioned 0|1] [--root-async 0|1] [--commit-workers N] "
-               "[--trace-out FILE] [--stats-out FILE]\n"
+               "[--commit-workers N] [--trace-out FILE] [--stats-out FILE]\n"
                "  forerunner_sim recover --persist-dir DIR\n"
-               "  forerunner_sim scenarios\n");
+               "  forerunner_sim scenarios\n",
+               scenarios.c_str());
   return 2;
 }
 
@@ -118,6 +161,10 @@ int main(int argc, char** argv) {
     return Usage();
   }
   std::string command = argv[1];
+  if (command != "run" && command != "replay" && command != "recover" &&
+      command != "scenarios") {
+    return Usage("unknown command '" + command + "'");
+  }
   std::string scenario = "L1";
   std::string strategy_name = "forerunner";
   std::string record_path;
@@ -127,32 +174,27 @@ int main(int argc, char** argv) {
   double trace_sample = 1.0;
   double duration = 0;
   size_t fork_depth = 0;
-  bool versioned_enabled = false;
-  bool root_async = false;
-  size_t retention = 0;
   std::string persist_dir;
   size_t commit_workers = 0;
+  if (argc % 2 != 0) {
+    return Usage(std::string("flag ") + argv[argc - 1] + " has no value");
+  }
   for (int i = 2; i + 1 < argc; i += 2) {
     std::string flag = argv[i];
     std::string value = argv[i + 1];
+    bool number_ok = true;
     if (flag == "--scenario") {
       scenario = value;
     } else if (flag == "--strategy") {
       strategy_name = value;
     } else if (flag == "--duration") {
-      duration = std::stod(value);
+      number_ok = ParseDouble(value, &duration);
     } else if (flag == "--fork-depth") {
-      fork_depth = static_cast<size_t>(std::stoul(value));
-    } else if (flag == "--versioned" || flag == "--flat") {
-      versioned_enabled = value != "0";
-    } else if (flag == "--root-async") {
-      root_async = value != "0";
-    } else if (flag == "--retention") {
-      retention = static_cast<size_t>(std::stoul(value));
+      number_ok = ParseSize(value, &fork_depth);
     } else if (flag == "--persist-dir") {
       persist_dir = value;
     } else if (flag == "--commit-workers") {
-      commit_workers = static_cast<size_t>(std::stoul(value));
+      number_ok = ParseSize(value, &commit_workers);
     } else if (flag == "--record") {
       record_path = value;
     } else if (flag == "--from") {
@@ -162,10 +204,24 @@ int main(int argc, char** argv) {
     } else if (flag == "--stats-out") {
       stats_out = value;
     } else if (flag == "--trace-sample") {
-      trace_sample = std::stod(value);
+      number_ok = ParseDouble(value, &trace_sample);
     } else {
-      return Usage();
+      return Usage("unknown flag " + flag);
     }
+    if (!number_ok) {
+      return Usage("invalid value '" + value + "' for " + flag);
+    }
+  }
+  if (!IsScenarioName(scenario)) {
+    return Usage("unknown scenario '" + scenario + "'");
+  }
+  if (commit_workers > kMaxCommitWorkers) {
+    return Usage("--commit-workers " + std::to_string(commit_workers) + " exceeds " +
+                 std::to_string(kMaxCommitWorkers));
+  }
+  ExecStrategy strategy = ExecStrategy::kForerunner;
+  if (!ParseStrategy(strategy_name, &strategy)) {
+    return Usage("unknown strategy '" + strategy_name + "'");
   }
   if (!trace_out.empty()) {
     TraceCollector::Options trace_options;
@@ -182,25 +238,6 @@ int main(int argc, char** argv) {
                   cfg.contention);
     }
     return 0;
-  }
-
-  ExecStrategy strategy = ParseStrategy(strategy_name);
-
-  // Knob consistency: async root sealing needs a covered view to keep
-  // critical-path readers consistent while the folds run, and an explicit
-  // retention shallower than the configured fork depth could not serve the
-  // reorgs the scenario will drive.
-  if (root_async && !versioned_enabled) {
-    std::fprintf(stderr, "--root-async 1 requires --versioned 1\n");
-    return 2;
-  }
-  if (retention != 0 && fork_depth != 0 && retention < fork_depth) {
-    std::fprintf(stderr,
-                 "--retention %zu is shallower than --fork-depth %zu; drop "
-                 "--retention to derive it (max of fork depth and the reorg "
-                 "window) or set it >= the fork depth\n",
-                 retention, fork_depth);
-    return 2;
   }
 
   if (command == "recover") {
@@ -270,10 +307,7 @@ int main(int argc, char** argv) {
       return options;
     };
     NodeOptions strategy_options = make_options(strategy);
-    strategy_options.state.versioned = versioned_enabled;
-    strategy_options.state.retention = retention;
     strategy_options.state.persist = persist_log.get();
-    strategy_options.chain.root_async = root_async;
     if (commit_workers > 0) {
       strategy_options.chain.commit_workers = commit_workers;
     }
@@ -309,6 +343,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     // The scenario name stored in the recording selects the genesis world.
+    if (!IsScenarioName(recording.scenario)) {
+      return Usage("recording " + from_path + " names unknown scenario '" +
+                   recording.scenario + "'");
+    }
     ScenarioConfig cfg = ScenarioByName(recording.scenario);
     std::printf("replaying %s (%zu blocks) with strategy '%s'...\n",
                 recording.scenario.c_str(), recording.blocks.size(),
@@ -325,10 +363,7 @@ int main(int argc, char** argv) {
       return options;
     };
     NodeOptions strategy_options = make_options(strategy);
-    strategy_options.state.versioned = versioned_enabled;
-    strategy_options.state.retention = retention;
     strategy_options.state.persist = persist_log.get();
-    strategy_options.chain.root_async = root_async;
     if (commit_workers > 0) {
       strategy_options.chain.commit_workers = commit_workers;
     }

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Builds the repo with ThreadSanitizer (-DFRN_SANITIZE=thread) into build-tsan/
-# and runs the concurrency-sensitive tests: the SharedStateCache / KvStore
-# stress test, the parallel speculation engine determinism test, the full
-# forerunner node test, the node-subsystem tests (mempool admission and the
-# chain manager's multi-depth reorgs around the worker pool), the versioned
-# snapshot store (readers pinning handles through commit/fork churn, the
-# parallel commit pool, the async-root seal handshake), the optimistic
-# parallel block executor (worker threads publishing attempts through the
-# round barrier while snapshot readers pin and read concurrently), the
-# persistence log's locked append path,
-# the prefetcher's shared-cache warm path, and the observability tests
-# (sharded metrics registry under concurrent writers, trace capture during a
-# threaded scenario). Pass --all to run the entire ctest suite under TSan
-# instead (slow).
+# and runs the concurrency-sensitive tests: the snapshot-reader / KvStore
+# stress test (readers pinning VersionedState handles while commits land),
+# the parallel speculation engine determinism test, the full forerunner node
+# test, the node-subsystem tests (mempool admission and the chain manager's
+# multi-depth reorgs around the worker pool), the versioned snapshot store
+# (readers pinning handles through commit/fork churn, the parallel commit
+# pool), the optimistic parallel block executor (worker threads publishing
+# attempts through the round barrier while snapshot readers pin and read
+# concurrently), the persistence log's locked append path, the prefetcher's
+# trie-warming path, and the observability tests (sharded metrics registry
+# under concurrent writers, trace capture during a threaded scenario). Pass
+# --all to run the entire ctest suite under TSan instead (slow).
 #
 # Division of labor with the clang -Wthread-safety stage (tools/ci.sh):
 # the annotated wrappers in src/common/sync.h prove *lock discipline* at
