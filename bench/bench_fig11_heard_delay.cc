@@ -11,7 +11,7 @@ int main() {
   std::printf("=== Figure 11: Reverse CDF of heard delay (dataset L1) ===\n");
   ScenarioRun run = RunScenario(ScenarioByName("L1"), {});
   auto rcdf = ReverseCdf(run.report.heard_delays, 4.0, 48.0);
-  std::printf("%-14s %10s\n", "delay > x (s)", "%% of txs");
+  std::printf("%-14s %10s\n", "delay > x (s)", "% of txs");
   for (const auto& [x, fraction] : rcdf) {
     std::printf("%13.0f %9.2f%%  %s\n", x, 100.0 * fraction, Bar(fraction).c_str());
   }

@@ -24,7 +24,7 @@ int main() {
     }
     hist.Add(c.speedup);
   }
-  std::printf("%-12s %10s\n", "speedup", "%% of txs");
+  std::printf("%-12s %10s\n", "speedup", "% of txs");
   std::printf("%-12s %9.2f%%\n", "<1x", heard ? 100.0 * below_one / heard : 0.0);
   for (size_t b = 0; b < hist.counts().size(); ++b) {
     char label[32];

@@ -8,7 +8,7 @@ using namespace frn;
 
 int main() {
   std::printf("=== Figure 14: Evaluations across datasets (Forerunner) ===\n");
-  std::printf("%-5s %12s %14s %12s %14s\n", "Tag", "%% satisfied", "%% (weighted)",
+  std::printf("%-5s %12s %14s %12s %14s\n", "Tag", "% satisfied", "% (weighted)",
               "Effective", "End-to-End");
   for (const std::string& name : AllScenarioNames()) {
     ScenarioRun run = RunScenario(ScenarioByName(name), {ExecStrategy::kForerunner});

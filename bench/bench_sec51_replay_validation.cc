@@ -60,7 +60,7 @@ int main() {
               (unsigned long)replayed.blocks);
   std::printf("%-28s %12lu %12lu\n", "transactions", (unsigned long)live.txs_packed,
               (unsigned long)replayed.txs_packed);
-  std::printf("%-28s %11.2f%% %11.2f%%\n", "%% satisfied", live_summary.satisfied_pct,
+  std::printf("%-28s %11.2f%% %11.2f%%\n", "% satisfied", live_summary.satisfied_pct,
               replay_summary.satisfied_pct);
   std::printf("%-28s %11.2fx %11.2fx\n", "effective speedup",
               live_summary.effective_speedup, replay_summary.effective_speedup);

@@ -11,7 +11,7 @@ using namespace frn;
 int main() {
   std::printf("=== Table 1: Datasets ===\n");
   std::printf("%-5s %8s %7s %8s %10s %14s %10s\n", "Tag", "Blocks", "+forks", "Txs",
-              "%% heard", "%%(weighted)", "duration");
+              "% heard", "%(weighted)", "duration");
   for (const std::string& name : AllScenarioNames()) {
     ScenarioConfig cfg = ScenarioByName(name);
     ScenarioRun run = RunScenario(cfg, {ExecStrategy::kForerunner});

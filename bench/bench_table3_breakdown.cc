@@ -35,7 +35,7 @@ int main() {
     cls.strat_time += c.strategy_seconds;
   }
 
-  std::printf("%-22s %9s %14s %10s\n", "", "%% txs", "%% (weighted)", "Speedup");
+  std::printf("%-22s %9s %14s %10s\n", "", "% txs", "% (weighted)", "Speedup");
   for (const Class& cls : classes) {
     double pct = heard == 0 ? 0 : 100.0 * static_cast<double>(cls.n) / heard;
     double wpct = heard_base == 0 ? 0 : 100.0 * cls.base_time / heard_base;

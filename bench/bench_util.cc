@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -9,6 +10,54 @@
 #include "src/obs/trace.h"
 
 namespace frn {
+
+double Samples::Percentile(double p) const {
+  if (values_.empty()) {
+    return 0.0;
+  }
+  std::vector<double> sorted = values_;
+  std::sort(sorted.begin(), sorted.end());
+  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(rank);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+std::vector<std::pair<double, double>> ReverseCdf(const std::vector<double>& samples,
+                                                  double x_step, double x_max) {
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<double, double>> out;
+  for (double x = 0.0; x <= x_max + 1e-12; x += x_step) {
+    auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
+    double exceeding = static_cast<double>(sorted.end() - it);
+    out.emplace_back(x, sorted.empty() ? 0.0 : exceeding / static_cast<double>(sorted.size()));
+  }
+  return out;
+}
+
+std::string Bar(double fraction, size_t width) {
+  if (fraction < 0) {
+    fraction = 0;
+  }
+  if (fraction > 1) {
+    fraction = 1;
+  }
+  size_t filled = static_cast<size_t>(fraction * static_cast<double>(width) + 0.5);
+  std::string out;
+  for (size_t i = 0; i < width; ++i) {
+    out += (i < filled) ? "#" : ".";
+  }
+  return out;
+}
+
+std::string MedianRange(const Samples& runs, const char* unit) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.2f%s [%.2f%s-%.2f%s]", runs.Percentile(50), unit,
+                runs.Percentile(0), unit, runs.Max(), unit);
+  return buf;
+}
 
 namespace {
 

@@ -1,18 +1,93 @@
 // Shared harness for the evaluation benches: runs a dataset scenario through
 // the DiCE emulator with a baseline node plus the requested strategy nodes,
-// and provides the aggregate metrics the paper's tables/figures report.
+// and provides the aggregate metrics and sample statistics the paper's
+// tables/figures report.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/metrics/metrics.h"
 #include "src/obs/json.h"
 #include "src/workload/workload.h"
 
 namespace frn {
+
+// ---- Sample statistics for the tables and figures ----
+
+// Accumulates samples; provides mean / percentile / weighted aggregation.
+class Samples {
+ public:
+  void Add(double value, double weight = 1.0) {
+    values_.push_back(value);
+    weights_.push_back(weight);
+    sum_ += value;
+    weighted_sum_ += value * weight;
+    weight_sum_ += weight;
+  }
+  size_t count() const { return values_.size(); }
+  double sum() const { return sum_; }
+  double weight_sum() const { return weight_sum_; }
+  double Mean() const { return values_.empty() ? 0.0 : sum_ / values_.size(); }
+  double WeightedMean() const { return weight_sum_ == 0 ? 0.0 : weighted_sum_ / weight_sum_; }
+  double Percentile(double p) const;
+  double Max() const {
+    return values_.empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
+  }
+  const std::vector<double>& values() const { return values_; }
+  const std::vector<double>& weights() const { return weights_; }
+
+ private:
+  std::vector<double> values_;
+  std::vector<double> weights_;
+  double sum_ = 0;
+  double weighted_sum_ = 0;
+  double weight_sum_ = 0;
+};
+
+// Fixed-bucket histogram over [0, bucket_width * n_buckets), with overflow.
+class Histogram {
+ public:
+  Histogram(double bucket_width, size_t n_buckets)
+      : bucket_width_(bucket_width), counts_(n_buckets + 1, 0) {}
+  void Add(double value) {
+    size_t bucket = static_cast<size_t>(value / bucket_width_);
+    if (bucket >= counts_.size() - 1) {
+      bucket = counts_.size() - 1;
+    }
+    ++counts_[bucket];
+    ++total_;
+  }
+  size_t total() const { return total_; }
+  const std::vector<uint64_t>& counts() const { return counts_; }
+  double bucket_width() const { return bucket_width_; }
+  // Fraction of samples in bucket i.
+  double Fraction(size_t i) const {
+    return total_ == 0 ? 0.0 : static_cast<double>(counts_[i]) / static_cast<double>(total_);
+  }
+
+ private:
+  double bucket_width_;
+  std::vector<uint64_t> counts_;
+  size_t total_ = 0;
+};
+
+// Reverse CDF: fraction of samples strictly exceeding x, evaluated on a grid.
+std::vector<std::pair<double, double>> ReverseCdf(const std::vector<double>& samples,
+                                                  double x_step, double x_max);
+
+// Renders a bar of width proportional to fraction (for terminal output).
+std::string Bar(double fraction, size_t width = 40);
+
+// One metric over repeated runs as "median [min-max]", each number printed
+// with two decimals and followed by `unit` (e.g. "3.59x [3.41x-3.71x]").
+std::string MedianRange(const Samples& runs, const char* unit);
+
+// ---- Bench harness ----
 
 // Tiny shared CLI for the bench binaries. Recognized flags (in both
 // "--flag value" and "--flag=value" form):

@@ -2,16 +2,16 @@
 // source of committed reads, so this bench gates it end to end. Five parts:
 //
 //   acquire  — commits a chain of versions, then hammers AcquireAt to price a
-//              snapshot-handle acquisition (the cost a speculation lane pays
+//              snapshot-handle acquisition (the cost a speculation worker pays
 //              to pin a root). Gate: every retained root acquires.
 //
 //   commit   — a synthetic many-account commit workload on stores with the
 //              modeled 2us cold-read latency, run store-less (trie-only) at 1
 //              commit worker and store-backed at 1 and 4. Gates:
 //              bit-identical per-round roots across all three, and the
-//              modeled fold wall (max over lanes of per-job thread-CPU +
-//              store latency, the speculation pool's scheduler-independent
-//              accounting) at 4 workers at least 1.5x below 1 worker's.
+//              measured fold wall (a stopwatch around the fold phase; each
+//              fold spins its own cold reads) at 4 workers at least 1.5x
+//              below 1 worker's.
 //
 //   scenario — dataset L1 under 20% fork churn with a baseline and a
 //              Forerunner node. Gates: consistent roots, and on both nodes
@@ -35,8 +35,8 @@
 
 #include "bench/bench_util.h"
 #include "src/common/clock.h"
+#include "src/common/worker_pool.h"
 #include "src/replay/recording.h"
-#include "src/state/commit_pool.h"
 #include "src/state/statedb.h"
 #include "src/state/versioned_state.h"
 
@@ -92,9 +92,9 @@ AcquireResult RunAcquirePart() {
 
 struct CommitConfigRun {
   std::vector<Hash> roots;          // per-round post-commit roots
-  double physical_seconds = 0;      // best-of-rounds stopwatch wall (host-dependent)
-  double fold_serial_seconds = 0;   // modeled: sum of per-job cpu+latency costs
-  double fold_wall_seconds = 0;     // modeled: max-over-lanes per commit, summed
+  double physical_seconds = 0;      // best-of-rounds whole-commit stopwatch wall
+  double fold_serial_seconds = 0;   // sum of per-job thread CPU, spins included
+  double fold_wall_seconds = 0;     // fold-phase stopwatch wall, summed over rounds
 };
 
 // One deterministic commit workload: `n_accounts` accounts, each with a
@@ -105,7 +105,7 @@ CommitConfigRun RunCommitConfig(bool with_store, size_t workers, size_t n_accoun
                                 size_t n_rounds) {
   KvStore store;  // modeled 2us cold-read latency: what parallel folds hide
   Mpt trie(&store);
-  CommitPool pool(workers);
+  WorkerPool pool(workers);
   VersionedState versioned(4);
   VersionedState* vs = with_store ? &versioned : nullptr;
   Hash root = Mpt::EmptyRoot();
@@ -152,7 +152,7 @@ struct CommitResult {
   CommitConfigRun trie_only;
   CommitConfigRun serial;
   CommitConfigRun parallel;
-  double modeled_speedup = 0;
+  double fold_speedup = 0;
   size_t accounts = 0;
   size_t rounds = 0;
 };
@@ -168,20 +168,19 @@ CommitResult RunCommitPart() {
     std::printf("FAIL: a store-backed commit diverged from the trie-only roots\n");
     r.ok = false;
   }
-  // Gate on the modeled fold wall (max over commit lanes of per-job
-  // thread-CPU + store latency): it is what a host with >= kCommitWorkers
-  // idle cores saves, and unlike the stopwatch it is not inflated away on a
-  // core-starved CI machine where spinning workers merely timeshare.
-  r.modeled_speedup = r.parallel.fold_wall_seconds > 0
-                          ? r.serial.fold_wall_seconds / r.parallel.fold_wall_seconds
-                          : 0;
-  if (r.modeled_speedup < 1.5) {
-    std::printf("FAIL: modeled fold speedup %.2fx with %zu workers is under the gate\n",
-                r.modeled_speedup, kCommitWorkers);
+  // Gate on the measured fold wall: the stopwatch around the fold phase, in
+  // which every fold spins its own cold reads. It needs kCommitWorkers idle
+  // cores to show the overlap.
+  r.fold_speedup = r.parallel.fold_wall_seconds > 0
+                       ? r.serial.fold_wall_seconds / r.parallel.fold_wall_seconds
+                       : 0;
+  if (r.fold_speedup < 1.5) {
+    std::printf("FAIL: fold wall speedup %.2fx with %zu workers is under the gate\n",
+                r.fold_speedup, kCommitWorkers);
     r.ok = false;
   }
-  // Sanity: both configs measured the same amount of fold work (the modeled
-  // serial sums must agree within timesharing noise).
+  // Sanity: both configs did the same amount of fold work (the summed job
+  // CPU must agree within timesharing noise).
   double work_ratio = r.parallel.fold_serial_seconds > 0
                           ? r.serial.fold_serial_seconds / r.parallel.fold_serial_seconds
                           : 0;
@@ -395,11 +394,11 @@ int main(int argc, char** argv) {
               acquire.ns_per_acquire);
 
   CommitResult commit = RunCommitPart();
-  std::printf("commit (%zu accounts, %zu rounds): modeled fold wall %.3fms -> %.3fms "
-              "with %zu workers (%.2fx); physical best-of trie-only %.3fms, "
+  std::printf("commit (%zu accounts, %zu rounds): measured fold wall %.3fms -> %.3fms "
+              "with %zu workers (%.2fx); best-of whole commit trie-only %.3fms, "
               "store w1 %.3fms, w%zu %.3fms\n",
               commit.accounts, commit.rounds, commit.serial.fold_wall_seconds * 1e3,
-              commit.parallel.fold_wall_seconds * 1e3, kCommitWorkers, commit.modeled_speedup,
+              commit.parallel.fold_wall_seconds * 1e3, kCommitWorkers, commit.fold_speedup,
               commit.trie_only.physical_seconds * 1e3, commit.serial.physical_seconds * 1e3,
               kCommitWorkers, commit.parallel.physical_seconds * 1e3);
 
@@ -428,7 +427,7 @@ int main(int argc, char** argv) {
   commit_json.Set("fold_wall_serial_seconds", commit.serial.fold_wall_seconds);
   commit_json.Set("fold_wall_parallel_seconds", commit.parallel.fold_wall_seconds);
   commit_json.Set("fold_serial_work_seconds", commit.serial.fold_serial_seconds);
-  commit_json.Set("modeled_speedup", commit.modeled_speedup);
+  commit_json.Set("fold_speedup", commit.fold_speedup);
   commit_json.Set("physical_trie_only_seconds", commit.trie_only.physical_seconds);
   commit_json.Set("physical_serial_seconds", commit.serial.physical_seconds);
   commit_json.Set("physical_parallel_seconds", commit.parallel.physical_seconds);

@@ -1,8 +1,8 @@
 // The repo's single clock utility (frn "clock" duties): the wall-clock
 // Stopwatch used on the critical path and by the benches, and the thread-CPU
-// clock the speculation pool charges modeled job costs with. Node, pool,
-// benches and the observability layer all time through this header so the
-// accounting model has exactly one source of time.
+// clock the worker pools charge job costs with. Node, pools, benches and the
+// observability layer all time through this header so the accounting has
+// exactly one source of time.
 #ifndef SRC_COMMON_CLOCK_H_
 #define SRC_COMMON_CLOCK_H_
 
@@ -26,7 +26,7 @@ class Stopwatch {
 
 // CPU time consumed by the calling thread. Unlike a wall clock this is not
 // inflated when threads timeshare the machine, which is what makes the
-// speculation pool's max-over-lanes wall model hold on any host.
+// speculation pool's CPU wall (max over workers) hold on any host.
 inline double ThreadCpuSeconds() {
   timespec ts;
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);

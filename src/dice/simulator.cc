@@ -382,6 +382,8 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
   for (size_t n = 0; n < nodes.size(); ++n) {
     report.nodes[n].speculation_seconds = nodes[n]->total_speculation_seconds();
     report.nodes[n].speculation_wall_seconds = nodes[n]->total_speculation_wall_seconds();
+    report.nodes[n].speculation_measured_wall_seconds =
+        nodes[n]->speculation_measured_wall_seconds();
     report.nodes[n].spec_workers = nodes[n]->spec_workers();
     report.nodes[n].spec_worker_stats = nodes[n]->spec_worker_stats();
     report.nodes[n].speculated_exec_seconds = nodes[n]->total_speculated_exec_seconds();

@@ -71,11 +71,12 @@ struct NodeRunStats {
   ExecStrategy strategy;
   std::vector<TxExecRecord> records;  // in chain order
   double total_exec_seconds = 0;
-  // Speculation CPU cost (serial sum over futures) and the modeled wall cost
-  // (per round: max over workers), which is what the speculation phase costs
-  // when idle cores absorb the fan-out.
+  // Speculation CPU cost (serial sum over futures), the CPU wall (per round:
+  // max over workers), which is what the speculation phase costs when idle
+  // cores absorb the fan-out, and the stopwatch wall of the batches.
   double speculation_seconds = 0;
   double speculation_wall_seconds = 0;
+  double speculation_measured_wall_seconds = 0;
   size_t spec_workers = 1;
   std::vector<SpecWorkerStats> spec_worker_stats;
   double speculated_exec_seconds = 0;

@@ -17,9 +17,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/worker_pool.h"
 #include "src/dice/block.h"
 #include "src/forerunner/spec_manager.h"
-#include "src/state/commit_pool.h"
 #include "src/state/statedb.h"
 #include "src/state/versioned_state.h"
 
@@ -36,7 +36,7 @@ struct ChainManagerOptions {
   // 1 (the default) runs the folds inline on the coordinator in the exact
   // serial operation order; any count produces bit-identical roots.
   size_t commit_workers = 1;
-  // Modeled lanes for the optimistic intra-block parallel executor
+  // Worker threads for the optimistic intra-block parallel executor
   // (src/forerunner/parallel_exec.h). 1 (the default) executes the block's
   // transactions bit-for-bit serially on the coordinator; any count >1 runs
   // them optimistically with conflict detection and produces identical
@@ -90,7 +90,7 @@ class ChainManager {
   bool CanRollback() const { return !undo_.empty(); }
   size_t reorg_window() const { return undo_.size(); }
   size_t max_reorg_depth() const { return options_.max_reorg_depth; }
-  size_t commit_workers() const { return commit_pool_.workers(); }
+  size_t commit_workers() const { return commit_pool_.threads(); }
   uint64_t rollbacks() const { return rollbacks_; }
   // Whether the live state view reads through a pinned snapshot handle (false
   // only if the store's retention missed the head root).
@@ -135,8 +135,8 @@ class ChainManager {
   ChainManagerOptions options_;
   Mpt* trie_;
   VersionedState* versioned_;
-  // The pool outlives the per-block StateDb instances that borrow it.
-  CommitPool commit_pool_;
+  // The fold pool outlives the per-block StateDb instances that borrow it.
+  WorkerPool commit_pool_;
   std::unique_ptr<StateDb> state_;
   StateDbStats retired_state_stats_;  // stats of already-replaced state views
   Hash head_root_;

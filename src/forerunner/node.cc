@@ -38,15 +38,11 @@ Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& gene
       versioned_(options.chain.max_reorg_depth),
       rng_(options.rng_seed),
       predictor_(options.predictor),
-      spec_pool_(&trie_, options.speculator, ResolveSpecWorkers(options),
-                 /*physical_threads=*/0, &versioned_),
+      spec_pool_(&trie_, options.speculator, ResolveSpecWorkers(options), &versioned_),
       prefetcher_(&trie_, &versioned_),
       parallel_exec_(options.chain.block_workers > 1
                          ? std::make_unique<ParallelBlockExecutor>(
-                               &trie_, &versioned_,
-                               ParallelExecOptions{options.chain.block_workers,
-                                                   /*physical_threads=*/0,
-                                                   /*max_rounds=*/0})
+                               &trie_, &versioned_, options.chain.block_workers)
                          : nullptr),
       mempool_(options.mempool),
       spec_(options.spec),
@@ -124,8 +120,7 @@ void Node::RunSpeculationPipeline(double sim_time) {
   speculate_span.AddArg(TraceArg::U64("jobs", jobs.size()));
   std::vector<SpecJobResult> results = spec_pool_.RunBatch(std::move(jobs));
   spec_.AddWallSeconds(spec_pool_.last_batch_wall_seconds());
-  speculate_span.AddArg(
-      TraceArg::F64("modeled_wall_s", spec_pool_.last_batch_wall_seconds()));
+  speculate_span.AddArg(TraceArg::F64("cpu_wall_s", spec_pool_.last_batch_wall_seconds()));
   // Merge on the coordinator in submission (= prediction) order, prefetching
   // each merged union read set for the current head.
   spec_.MergeResults(&results, sim_time, options_.speculation_time_scale,
@@ -136,8 +131,7 @@ void Node::RunSpeculationPipeline(double sim_time) {
                      });
 }
 
-bool Node::ExecuteTxsParallel(const Block& block, double sim_time,
-                              BlockExecReport* report, double* wall_adjust) {
+bool Node::ExecuteTxsParallel(const Block& block, double sim_time, BlockExecReport* report) {
   static Counter* txs_counter = MetricsRegistry::Global().GetCounter("exec.txs");
   static Counter* txs_speculated = MetricsRegistry::Global().GetCounter("exec.txs_speculated");
   static Counter* exec_gas = MetricsRegistry::Global().GetCounter("exec.gas");
@@ -184,9 +178,8 @@ bool Node::ExecuteTxsParallel(const Block& block, double sim_time,
     record.tx_id = tx.id;
     record.heard = mempool_.Contains(tx.id);
     record.speculated = specs[i] != nullptr;
-    // Per-tx cost is the committed attempt's modeled cost (thread CPU plus
-    // deferred store latency) — the lane-time the block's modeled wall is
-    // made of, where the serial loop reports a per-tx stopwatch.
+    // Per-tx cost is the committed attempt's thread CPU (cold-read spins
+    // included), where the serial loop reports a per-tx stopwatch.
     record.seconds = results[i].last_cost_seconds;
     const AccelOutcome& outcome = results[i].outcome;
     record.accelerated = outcome.accelerated;
@@ -209,7 +202,6 @@ bool Node::ExecuteTxsParallel(const Block& block, double sim_time,
       chain_.chain_nonces()[tx.sender] = tx.nonce + 1;
     }
   }
-  *wall_adjust = stats.exec_wall_seconds - stats.exec_real_seconds;
   return true;
 }
 
@@ -240,10 +232,9 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
   // the execution loop — commit and head advance — is shared with the
   // serial path and roots stay bit-identical. A fallback (fee-account sender,
   // round bound) drops to the serial loop.
-  double wall_adjust = 0;
   bool executed = false;
   if (parallel_exec_ != nullptr && !block.txs.empty()) {
-    executed = ExecuteTxsParallel(block, sim_time, &report, &wall_adjust);
+    executed = ExecuteTxsParallel(block, sim_time, &report);
     if (!executed) {
       ++parallel_fallbacks_;
     }
@@ -299,10 +290,7 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
     TraceSpan commit_span(collector, "block", "block.commit", commit_wall);
     report.state_root = chain_.CommitState();
   }
-  // wall_adjust swaps the parallel path's physically-measured execute phases
-  // for their modeled max-over-lanes wall (zero on the serial path), the same
-  // convention DiCE already uses for speculation and commit-fold walls.
-  report.total_seconds = block_watch.ElapsedSeconds() + wall_adjust;
+  report.total_seconds = block_watch.ElapsedSeconds();
   blocks->Add();
   block_span.AddArg(TraceArg::U64("number", block.header.number));
   block_span.AddArg(TraceArg::U64("txs", block.txs.size()));
@@ -385,9 +373,6 @@ JsonValue Node::StatsJson() const {
     wj.Set("futures", w.futures);
     wj.Set("busy_seconds", w.busy_seconds);
     wj.Set("queue_wait_seconds", w.queue_wait_seconds);
-    wj.Set("store_reads", w.store_reads);
-    wj.Set("store_cold_reads", w.store_cold_reads);
-    wj.Set("snapshot_hit_rate", w.SnapshotHitRate());
     workers.Append(std::move(wj));
   }
   node.Set("spec_worker_stats", std::move(workers));

@@ -135,15 +135,18 @@ class Node {
   bool CanRollback() const { return chain_.CanRollback(); }
 
   // Aggregate off-critical-path accounting (§5.6).
-  // CPU cost: serial sum over all jobs of thread CPU time plus deferred
-  // cold-read latency — the store-miss stalls the single-threaded pipeline
-  // used to spin through are included via the model, not a wall clock.
+  // CPU cost: serial sum over all jobs of thread CPU time, the cold-read
+  // spins of the speculating threads included.
   double total_speculation_seconds() const { return spec_.total_speculation_seconds(); }
-  // Modeled wall cost: per pipeline round, the max over workers of their busy
-  // time (== the CPU sum at 1 worker). This is what the speculation phase
-  // costs in wall-clock when idle cores absorb the fan-out.
+  // CPU wall: per pipeline round, the max over workers of their busy time
+  // (== the CPU sum at 1 worker) — what the speculation phase costs when
+  // every worker has a core of its own.
   double total_speculation_wall_seconds() const {
     return spec_.total_speculation_wall_seconds();
+  }
+  // Stopwatch wall of every speculation batch, summed.
+  double speculation_measured_wall_seconds() const {
+    return spec_pool_.measured_wall_seconds();
   }
   double total_speculated_exec_seconds() const {
     return spec_.total_speculated_exec_seconds();
@@ -168,7 +171,7 @@ class Node {
   size_t block_workers() const { return options_.chain.block_workers; }
   bool parallel_exec_enabled() const { return parallel_exec_ != nullptr; }
   // Cumulative across all executed blocks (rounds, conflicts, re-executions,
-  // modeled wall); fallback_serial is true if any block fell back.
+  // CPU and stopwatch walls); fallback_serial is true if any block fell back.
   const ParallelBlockStats& parallel_stats() const { return parallel_totals_; }
   uint64_t parallel_fallbacks() const { return parallel_fallbacks_; }
 
@@ -188,11 +191,8 @@ class Node {
   // Parallel block attempt: executes the block's transactions through the
   // optimistic executor and merges the converged write sets in transaction
   // order. Returns false (leaving `report` untouched) when the executor fell
-  // back — the caller then runs the serial loop. `wall_adjust` receives the
-  // modeled-minus-real execution wall so report.total_seconds charges the
-  // block at its modeled lane cost (the SpecPool accounting convention).
-  bool ExecuteTxsParallel(const Block& block, double sim_time,
-                          BlockExecReport* report, double* wall_adjust);
+  // back — the caller then runs the serial loop.
+  bool ExecuteTxsParallel(const Block& block, double sim_time, BlockExecReport* report);
 
   NodeOptions options_;
   KvStore store_;

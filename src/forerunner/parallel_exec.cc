@@ -1,25 +1,23 @@
 #include "src/forerunner/parallel_exec.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/state/versioned_state.h"
-#include "src/trie/kv_store.h"
 
 namespace frn {
 
 // One transaction's latest execution attempt. Distinct attempts are touched
 // by at most one thread per round (disjoint indices), and the round barrier
-// (thread join) publishes them to the coordinator's validation pass, so the
-// struct carries no lock.
+// (WorkerPool::Run returning) publishes them to the coordinator's validation
+// pass, so the struct carries no lock.
 struct ParallelBlockExecutor::Attempt {
   std::vector<BlockStmReadDesc> reads;
   TxWriteSet writes;
   AccelOutcome outcome;
-  double cost_seconds = 0;  // modeled: thread CPU + deferred store latency
+  double cost_seconds = 0;  // thread CPU, cold-read spins included
   size_t attempts = 0;
   bool failed_once = false;  // already counted toward stats.conflicts
   // The attempt observed the fee-account balance (BALANCE on the coinbase, a
@@ -29,35 +27,22 @@ struct ParallelBlockExecutor::Attempt {
 };
 
 ParallelBlockExecutor::ParallelBlockExecutor(Mpt* trie, VersionedState* versioned,
-                                             const ParallelExecOptions& options)
-    : trie_(trie), versioned_(versioned), options_(options) {
-  options_.workers = std::max<size_t>(1, options_.workers);
-  unsigned hw = std::thread::hardware_concurrency();
-  const size_t hw_cap = hw == 0 ? 1 : static_cast<size_t>(hw);
-  physical_ = options_.physical_threads != 0 ? options_.physical_threads
-                                             : std::min(options_.workers, hw_cap);
-}
+                                             size_t workers)
+    : trie_(trie), versioned_(versioned), pool_(workers) {}
 
 void ParallelBlockExecutor::RunAttempt(const Hash& root, const BlockContext& header,
                                        const Transaction& tx, const TxSpeculation* spec,
                                        ExecStrategy strategy, const MvMemory& mv,
                                        size_t tx_index, Attempt* attempt) {
-  const double cpu_start = ThreadCpuSeconds();
-  KvStoreStats io;
-  {
-    // Deferred-latency accounting (the SpecPool idiom): cold-read stalls are
-    // charged to the modeled cost instead of physically spun, so the model
-    // holds on a host with fewer cores than lanes.
-    KvStore::StatsScope scope(&io);
-    StateDb attempt_db(trie_, root, versioned_);
-    BlockStmView view(&mv, tx_index, header.coinbase);
-    attempt_db.set_overlay(&view);
-    attempt->outcome = Accelerator::Execute(&attempt_db, header, tx, spec, strategy);
-    attempt->writes = attempt_db.ExtractWriteSet(&header.coinbase);
-    attempt->reads = view.TakeReads();
-    attempt->fee_balance_observed = view.fee_balance_observed();
-  }
-  attempt->cost_seconds = (ThreadCpuSeconds() - cpu_start) + io.deferred_latency_seconds;
+  ThreadCpuTimer cpu;
+  StateDb attempt_db(trie_, root, versioned_);
+  BlockStmView view(&mv, tx_index, header.coinbase);
+  attempt_db.set_overlay(&view);
+  attempt->outcome = Accelerator::Execute(&attempt_db, header, tx, spec, strategy);
+  attempt->writes = attempt_db.ExtractWriteSet(&header.coinbase);
+  attempt->reads = view.TakeReads();
+  attempt->fee_balance_observed = view.fee_balance_observed();
+  attempt->cost_seconds = cpu.ElapsedSeconds();
   ++attempt->attempts;
 }
 
@@ -96,7 +81,7 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
   TraceCollector* collector = &TraceCollector::Global();
   TraceSpan span(collector, "block", "block.parallel", parallel_wall);
   span.AddArg(TraceArg::U64("txs", n));
-  span.AddArg(TraceArg::U64("workers", options_.workers));
+  span.AddArg(TraceArg::U64("workers", pool_.threads()));
 
   MvMemory mv;
   std::vector<Attempt> attempts(n);
@@ -105,7 +90,7 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
   for (size_t i = 0; i < n; ++i) {
     pending[i] = i;
   }
-  const size_t max_rounds = options_.max_rounds != 0 ? options_.max_rounds : 2 * n + 4;
+  const size_t max_rounds = 2 * n + 4;
   size_t committed = 0;
 
   while (committed < n) {
@@ -119,42 +104,26 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
     ++stats->rounds;
 
     // Execute phase: every pending attempt runs against the frozen committed
-    // prefix. Lane striping is by position in `pending` — deterministic, and
-    // decoupled from the physical thread count.
+    // prefix, attempt j on worker j % workers.
     Stopwatch exec_watch;
-    auto run_stripe = [&](size_t stripe, size_t stride) {
-      for (size_t j = stripe; j < pending.size(); j += stride) {
-        const size_t i = pending[j];
-        RunAttempt(root, header, txs[i], specs[i], strategy, mv, i, &attempts[i]);
-      }
-    };
-    const size_t threads = std::min(physical_, pending.size());
-    if (threads <= 1) {
-      run_stripe(0, 1);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        pool.emplace_back(run_stripe, t, threads);
-      }
-      for (std::thread& t : pool) {
-        t.join();
-      }
-    }
+    pool_.Run(pending.size(), [&](size_t j, size_t /*worker*/) {
+      const size_t i = pending[j];
+      RunAttempt(root, header, txs[i], specs[i], strategy, mv, i, &attempts[i]);
+    });
     stats->exec_real_seconds += exec_watch.ElapsedSeconds();
-    std::vector<double> lane_cost(options_.workers, 0.0);
+    std::vector<double> worker_cost(pool_.threads(), 0.0);
     bool fee_balance_observed = false;
     for (size_t j = 0; j < pending.size(); ++j) {
       const double cost = attempts[pending[j]].cost_seconds;
       stats->exec_serial_seconds += cost;
-      lane_cost[j % options_.workers] += cost;
+      worker_cost[j % pool_.threads()] += cost;
       ++stats->executions;
       if (attempts[pending[j]].attempts > 1) {
         ++stats->reexecutions;
       }
       fee_balance_observed |= attempts[pending[j]].fee_balance_observed;
     }
-    stats->exec_wall_seconds += *std::max_element(lane_cost.begin(), lane_cost.end());
+    stats->exec_wall_seconds += *std::max_element(worker_cost.begin(), worker_cost.end());
     if (fee_balance_observed) {
       // Some attempt observed the fee-account balance: the exemption served a
       // pre-block value that lower-indexed fee credits may contradict. An
@@ -211,7 +180,7 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
   rounds_counter->Add(stats->rounds);
   span.AddArg(TraceArg::U64("rounds", stats->rounds));
   span.AddArg(TraceArg::U64("conflicts", stats->conflicts));
-  span.AddArg(TraceArg::F64("modeled_wall_s", stats->exec_wall_seconds));
+  span.AddArg(TraceArg::F64("cpu_wall_s", stats->exec_wall_seconds));
   return true;
 }
 

@@ -25,35 +25,24 @@
 // when the fee account itself sends a transaction (the commutative-fee
 // exemption would be unsound; see block_stm.h).
 //
-// Cost model: the host may have fewer cores than requested workers, so —
-// like the SpecPool and the commit pool — `workers` is the number of modeled
-// lanes: per round, attempts stripe over lanes in order and the modeled wall
-// is the slowest lane's sum of per-attempt costs (thread CPU plus deferred
-// cold-read store latency). Physical threads are capped at hardware
-// concurrency and affect only real wall time, never results or modeled cost.
+// Threads: a persistent WorkerPool of `workers` threads runs every round's
+// attempts, attempt j of a round on worker j % workers. An attempt's cost is
+// its thread's CPU time (cold-read spins included); the CPU wall of a round is
+// the slowest worker's summed attempt costs, reported next to the stopwatch
+// wall of the execute phases. Neither affects results.
 #ifndef SRC_FORERUNNER_PARALLEL_EXEC_H_
 #define SRC_FORERUNNER_PARALLEL_EXEC_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/common/worker_pool.h"
 #include "src/forerunner/accelerator.h"
 #include "src/forerunner/speculator.h"
 #include "src/state/block_stm.h"
 #include "src/state/statedb.h"
 
 namespace frn {
-
-struct ParallelExecOptions {
-  // Modeled execution lanes. 1 is never constructed by the node (it runs the
-  // bit-for-bit serial loop instead); the executor itself accepts it.
-  size_t workers = 2;
-  // Physical thread cap. 0 = min(workers, hardware concurrency). Tests force
-  // >1 to exercise real cross-thread interleavings under TSan.
-  size_t physical_threads = 0;
-  // Safety bound on rounds; 0 derives 2*txs+4 (see file comment).
-  size_t max_rounds = 0;
-};
 
 // Per-transaction result of a converged block: the final attempt's outcome
 // (identical to what serial execution reports) and its extracted write set,
@@ -62,7 +51,7 @@ struct ParallelTxResult {
   AccelOutcome outcome;
   TxWriteSet writes;
   size_t attempts = 0;          // executions of this tx (1 = no conflict)
-  double last_cost_seconds = 0; // modeled cost of the committed attempt
+  double last_cost_seconds = 0; // thread CPU of the committed attempt
 };
 
 struct ParallelBlockStats {
@@ -71,9 +60,9 @@ struct ParallelBlockStats {
   uint64_t reexecutions = 0;         // executions beyond each tx's first
   uint64_t validation_failures = 0;  // failed read validations
   uint64_t conflicts = 0;            // distinct txs that ever failed validation
-  double exec_serial_seconds = 0;    // modeled: sum of all attempt costs
-  double exec_wall_seconds = 0;      // modeled: per round, slowest lane; summed
-  double exec_real_seconds = 0;      // physical wall inside the execute phases
+  double exec_serial_seconds = 0;    // sum of all attempt thread CPU
+  double exec_wall_seconds = 0;      // CPU wall: per round, slowest worker; summed
+  double exec_real_seconds = 0;      // stopwatch wall of the execute phases
   double validate_seconds = 0;       // coordinator validation passes (physical)
   bool fallback_serial = false;      // true when ExecuteBlock returned false
 };
@@ -81,9 +70,9 @@ struct ParallelBlockStats {
 class ParallelBlockExecutor {
  public:
   // `versioned` may be null; attempts read the pre-block snapshot through it
-  // when attached, exactly like the serial path.
-  ParallelBlockExecutor(Mpt* trie, VersionedState* versioned,
-                        const ParallelExecOptions& options);
+  // when attached, exactly like the serial path. `workers` >= 1 threads (the
+  // node builds the executor only for block_workers > 1).
+  ParallelBlockExecutor(Mpt* trie, VersionedState* versioned, size_t workers);
 
   // Executes `txs` optimistically against the state at `root`. `specs` is
   // aligned with `txs` (null entries = no speculation); AP fast-path hits
@@ -96,8 +85,6 @@ class ParallelBlockExecutor {
                     ExecStrategy strategy, std::vector<ParallelTxResult>* results,
                     ParallelBlockStats* stats);
 
-  size_t workers() const { return options_.workers; }
-
  private:
   struct Attempt;
 
@@ -107,8 +94,7 @@ class ParallelBlockExecutor {
 
   Mpt* trie_;
   VersionedState* versioned_;
-  ParallelExecOptions options_;
-  size_t physical_;
+  WorkerPool pool_;
 };
 
 }  // namespace frn

@@ -90,9 +90,9 @@ void SpeculationManager::MergeResults(std::vector<SpecJobResult>* results,
     if (spec.has_ap) {
       ap_stats_.push_back(spec.ap.stats());
     }
-    // Charge this round's modeled cost to simulated availability: the
-    // executing thread's CPU time plus the deferred cold-read latency,
-    // independent of how the OS schedules the executor threads. An AP merged
+    // Charge this round's cost to simulated availability: the executing
+    // thread's CPU time, its cold-read spins included, independent of how the
+    // OS schedules the worker threads. An AP merged
     // in an earlier round stays usable, so availability never regresses.
     // Still a measurement: with time_scale > 0, AP readiness varies run to
     // run (at any worker count); scale = 0 makes outcomes exact.

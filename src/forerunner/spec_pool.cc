@@ -8,87 +8,73 @@
 
 namespace frn {
 
-namespace {
-
-size_t ResolvePhysical(size_t workers, size_t physical_threads) {
-  if (physical_threads != 0) {
-    return std::min(workers, physical_threads);
+SpecWorkerStats SumSpecWorkerStats(const std::vector<SpecWorkerStats>& workers) {
+  SpecWorkerStats sum;
+  for (const SpecWorkerStats& w : workers) {
+    sum.jobs += w.jobs;
+    sum.futures += w.futures;
+    sum.busy_seconds += w.busy_seconds;
+    sum.queue_wait_seconds += w.queue_wait_seconds;
   }
-  size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(1, std::min(workers, hw == 0 ? 1 : hw));
+  return sum;
 }
 
-}  // namespace
+double SpecWorkerImbalance(const std::vector<SpecWorkerStats>& workers) {
+  double busiest = 0;
+  double total = 0;
+  size_t active = 0;
+  for (const SpecWorkerStats& w : workers) {
+    if (w.jobs == 0) {
+      continue;
+    }
+    busiest = std::max(busiest, w.busy_seconds);
+    total += w.busy_seconds;
+    ++active;
+  }
+  if (active == 0 || total <= 0) {
+    return 1.0;
+  }
+  return busiest / (total / static_cast<double>(active));
+}
 
 SpecPool::SpecPool(Mpt* trie, const Speculator::Options& options, size_t workers,
-                   size_t physical_threads, VersionedState* versioned)
-    : trie_(trie),
-      options_(options),
-      versioned_(versioned),
-      workers_(std::max<size_t>(1, workers)),
-      physical_(ResolvePhysical(workers_, physical_threads)),
-      worker_stats_(workers_) {
-  if (physical_ == 1) {
-    return;  // inline mode: the coordinator thread is the only executor
-  }
-  threads_.reserve(physical_);
-  for (size_t t = 0; t < physical_; ++t) {
-    threads_.emplace_back([this, t] { WorkerLoop(t); });
-  }
-}
+                   VersionedState* versioned)
+    : speculators_(std::max<size_t>(1, workers), Speculator(trie, options, versioned)),
+      pool_(workers),
+      worker_stats_(pool_.threads()) {}
 
-SpecPool::~SpecPool() {
-  {
-    MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& t : threads_) {
-    t.join();
-  }
-}
-
-void SpecPool::ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& result,
-                          size_t job_index) {
+void SpecPool::ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
+                          size_t worker) {
   static SecondsCounter* job_wall = MetricsRegistry::Global().GetSeconds("spec.job_wall_seconds");
   static Counter* jobs_counter = MetricsRegistry::Global().GetCounter("spec.jobs");
   static Counter* futures_counter = MetricsRegistry::Global().GetCounter("spec.futures");
-  static SecondsCounter* modeled_busy =
-      MetricsRegistry::Global().GetSeconds("spec.modeled_busy_seconds");
   static ExpHistogram* job_hist = MetricsRegistry::Global().GetHistogram("spec.job_seconds");
   TraceCollector* collector = &TraceCollector::Global();
   // Span + mirror sit outside the thread-CPU measurement, so tracing overhead
-  // never leaks into the modeled job cost (exec_seconds) that drives lane
-  // accounting and the determinism gate.
+  // never leaks into the job cost (exec_seconds) that drives the per-worker
+  // accounting.
   TraceSpan span(collector, "spec", "tx.speculate", job_wall,
                  collector->enabled() && collector->SampleTx(job.tx.id));
-  double cpu_start = ThreadCpuSeconds();
-  {
-    KvStore::StatsScope scope(&result.io);
-    result.spec = std::move(job.spec);
-    result.spec.tx_id = job.tx.id;
-    result.outcomes.reserve(job.futures.size());
-    for (const FutureContext& future : job.futures) {
-      SpecFutureOutcome outcome;
-      outcome.synthesized =
-          speculator->SpeculateFuture(job.root, job.tx, future, &result.spec);
-      if (outcome.synthesized) {
-        outcome.stats = result.spec.last_stats;
-      }
-      result.outcomes.push_back(outcome);
+  ThreadCpuTimer cpu;
+  result.spec = std::move(job.spec);
+  result.spec.tx_id = job.tx.id;
+  result.outcomes.reserve(job.futures.size());
+  for (const FutureContext& future : job.futures) {
+    SpecFutureOutcome outcome;
+    outcome.synthesized = speculator.SpeculateFuture(job.root, job.tx, future, &result.spec);
+    if (outcome.synthesized) {
+      outcome.stats = result.spec.last_stats;
     }
+    result.outcomes.push_back(outcome);
   }
-  result.exec_seconds =
-      (ThreadCpuSeconds() - cpu_start) + result.io.deferred_latency_seconds;
+  result.exec_seconds = cpu.ElapsedSeconds();
   jobs_counter->Add();
   futures_counter->Add(result.outcomes.size());
-  modeled_busy->Add(result.exec_seconds);
   job_hist->Record(result.exec_seconds);
   span.AddArg(TraceArg::U64("tx", job.tx.id));
-  span.AddArg(TraceArg::U64("lane", job_index % workers_));
+  span.AddArg(TraceArg::U64("worker", worker));
   span.AddArg(TraceArg::U64("futures", result.outcomes.size()));
-  span.AddArg(TraceArg::F64("modeled_exec_s", result.exec_seconds));
-  span.AddArg(TraceArg::U64("cold_reads", result.io.cold_reads));
+  span.AddArg(TraceArg::F64("cpu_s", result.exec_seconds));
 }
 
 std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
@@ -98,52 +84,30 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
     return results;
   }
 
-  if (physical_ == 1) {
-    // Inline path: identical operation order to the pre-pool pipeline. No
-    // executor threads exist, so the batch never routes through the guarded
-    // handoff members at all — the vectors stay coordinator-private locals.
-    Speculator speculator(trie_, options_, versioned_);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      ExecuteJob(&speculator, jobs[j], results[j], j);
-    }
-  } else {
-    MutexLock lock(mutex_);
-    jobs_ = &jobs;
-    results_ = &results;
-    done_jobs_ = 0;
-    ++batch_seq_;
-    work_cv_.NotifyAll();
-    while (done_jobs_ != jobs.size()) {
-      done_cv_.Wait(mutex_);
-    }
-    // Retire the batch while still holding the mutex: an executor whose
-    // stripe was empty may wake from the batch-start notify only now, and its
-    // wait predicate reads these pointers under the lock — clearing them
-    // unlocked would race (and a stale non-null pointer would dangle into
-    // this frame's locals).
-    jobs_ = nullptr;
-    results_ = nullptr;
-  }
+  Stopwatch batch_watch;
+  pool_.Run(jobs.size(), [&](size_t j, size_t worker) {
+    ExecuteJob(speculators_[worker], jobs[j], results[j], worker);
+  });
+  measured_wall_seconds_ += batch_watch.ElapsedSeconds();
 
-  // Lane accounting on the coordinator: deterministic round-robin assignment
-  // of jobs to modeled lanes, independent of which executor thread ran what.
-  std::vector<double> lane_busy(workers_, 0.0);
+  // Per-worker accounting on the coordinator, in job order: job j ran on
+  // worker j % workers.
+  const size_t workers = pool_.threads();
+  std::vector<double> worker_busy(workers, 0.0);
   for (size_t j = 0; j < results.size(); ++j) {
-    size_t lane = j % workers_;
+    size_t worker = j % workers;
     SpecJobResult& result = results[j];
-    result.worker = lane;
-    result.queue_seconds = lane_busy[lane];
-    lane_busy[lane] += result.exec_seconds;
+    result.worker = worker;
+    result.queue_seconds = worker_busy[worker];
+    worker_busy[worker] += result.exec_seconds;
 
-    SpecWorkerStats& stats = worker_stats_[lane];
+    SpecWorkerStats& stats = worker_stats_[worker];
     ++stats.jobs;
     stats.futures += result.outcomes.size();
     stats.busy_seconds += result.exec_seconds;
     stats.queue_wait_seconds += result.queue_seconds;
-    stats.store_reads += result.io.reads;
-    stats.store_cold_reads += result.io.cold_reads;
   }
-  last_batch_wall_seconds_ = *std::max_element(lane_busy.begin(), lane_busy.end());
+  last_batch_wall_seconds_ = *std::max_element(worker_busy.begin(), worker_busy.end());
   static SecondsCounter* batch_wall =
       MetricsRegistry::Global().GetSeconds("spec.batch_wall_seconds");
   static SecondsCounter* queue_wait =
@@ -155,52 +119,8 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
     wait_sum += result.queue_seconds;
   }
   queue_wait->Add(wait_sum);
-  lane_occupancy->SetMax(
-      static_cast<double>((results.size() + workers_ - 1) / workers_));
+  lane_occupancy->SetMax(static_cast<double>((results.size() + workers - 1) / workers));
   return results;
-}
-
-void SpecPool::WorkerLoop(size_t thread_index) {
-  // Each executor owns its Speculator: no mutable state is shared between
-  // executors, only the (reader-safe) trie/store underneath.
-  Speculator speculator(trie_, options_, versioned_);
-  size_t seen_batch = 0;
-  for (;;) {
-    // The batch vectors are copied out of the guarded members under the lock;
-    // job execution then runs unlocked against disjoint slots (static stripe,
-    // no claim counter), with the done_jobs_ barrier publishing the results
-    // back to the coordinator.
-    std::vector<SpecJob>* jobs = nullptr;
-    std::vector<SpecJobResult>* results = nullptr;
-    size_t n_jobs = 0;
-    {
-      MutexLock lock(mutex_);
-      // Waking requires a *live* batch: an executor whose stripe was empty
-      // can observe the next sequence number only once jobs_ is installed
-      // again (the coordinator may have retired a small batch without ever
-      // needing this executor to wake).
-      while (!shutdown_ && !(batch_seq_ != seen_batch && jobs_ != nullptr)) {
-        work_cv_.Wait(mutex_);
-      }
-      if (shutdown_) {
-        return;
-      }
-      seen_batch = batch_seq_;
-      jobs = jobs_;
-      results = results_;
-      n_jobs = jobs->size();
-    }
-    size_t done = 0;
-    for (size_t j = thread_index; j < n_jobs; j += physical_) {
-      ExecuteJob(&speculator, (*jobs)[j], (*results)[j], j);
-      ++done;
-    }
-    MutexLock lock(mutex_);
-    done_jobs_ += done;
-    if (done_jobs_ == n_jobs) {
-      done_cv_.NotifyOne();
-    }
-  }
 }
 
 }  // namespace frn

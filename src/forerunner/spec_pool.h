@@ -1,29 +1,41 @@
 // The parallel speculation engine (paper §4, "free" speculation on idle
-// cores): a persistent pool of worker threads that fans pending-pool futures
-// out across N workers, each pre-executing against a read-only snapshot of
-// the head state. The coordinator submits one job per predicted transaction,
-// blocks until the batch drains, and merges results back in submission order,
-// so every derived statistic is identical for any worker count.
+// cores): a WorkerPool of `workers` threads fans pending-pool futures out,
+// each worker pre-executing against a read-only snapshot of the head state.
+// The coordinator submits one job per predicted transaction, blocks until the
+// batch drains, and merges results back in submission order, so every derived
+// statistic is identical for any worker count.
 //
-// Two thread counts are deliberately distinct:
-//  - `workers` is the MODELED lane count: jobs are assigned to lanes
-//    round-robin by index, and the modeled wall time of a batch is the max
-//    over lanes of their summed job costs — the paper's claim that
-//    speculation is off the critical path as long as cores are available.
-//  - the PHYSICAL executor threads are capped at the host's hardware
-//    concurrency (never oversubscribe), so per-job cost measurements — thread
-//    CPU time plus deferred cold-read latency — stay clean even when the
-//    modeled lane count exceeds the machine's cores.
+// Job j runs on worker j % workers. A job's cost is its thread's CPU time,
+// including any cold-read latency the worker spun, and the batch's CPU wall
+// is the max over workers of their summed job costs — what the batch costs
+// when every worker has a core of its own. The stopwatch wall of the batch is
+// reported next to it.
 #ifndef SRC_FORERUNNER_SPEC_POOL_H_
 #define SRC_FORERUNNER_SPEC_POOL_H_
 
-#include <thread>
 #include <vector>
 
-#include "src/common/sync.h"
+#include "src/common/worker_pool.h"
 #include "src/forerunner/speculator.h"
 
 namespace frn {
+
+// Per-worker accounting for the parallel speculation engine (§5.6): how much
+// pre-execution each worker performed and how long its jobs waited behind
+// earlier jobs of the same worker within a batch.
+struct SpecWorkerStats {
+  uint64_t jobs = 0;              // transactions pre-executed by this worker
+  uint64_t futures = 0;           // futures pre-executed by this worker
+  double busy_seconds = 0;        // summed job thread CPU
+  double queue_wait_seconds = 0;  // sum over jobs of their start offset in the batch
+};
+
+// Element-wise sum over workers.
+SpecWorkerStats SumSpecWorkerStats(const std::vector<SpecWorkerStats>& workers);
+
+// Load imbalance: busiest worker's busy time over the mean busy time (1.0 is
+// perfectly balanced; only workers that executed at least one job count).
+double SpecWorkerImbalance(const std::vector<SpecWorkerStats>& workers);
 
 // One unit of work: pre-execute every predicted future of one pending
 // transaction against the immutable snapshot `root`, starting from the
@@ -46,81 +58,51 @@ struct SpecFutureOutcome {
 struct SpecJobResult {
   TxSpeculation spec;
   std::vector<SpecFutureOutcome> outcomes;
-  // Modeled cost of this job: the executing thread's CPU time plus the
-  // deferred cold-read latency (what the job would cost wall-clock on an idle
-  // core, independent of how the OS schedules the executor threads).
+  // The executing thread's CPU time for this job (cold-read spins included).
   double exec_seconds = 0;
-  // Modeled start offset of the job on its lane: the summed exec_seconds of
-  // the jobs ordered before it on the same lane within the batch.
+  // Start offset of the job on its worker: the summed exec_seconds of the
+  // jobs ordered before it on the same worker within the batch.
   double queue_seconds = 0;
-  size_t worker = 0;  // modeled lane (= job index % workers), deterministic
-  KvStoreStats io;    // store traffic of this job (per-thread attribution)
+  size_t worker = 0;  // job index % workers, deterministic
 };
 
 class SpecPool {
  public:
-  // `workers` >= 1 modeled lanes. `physical_threads` = 0 spawns
-  // min(workers, hardware concurrency) executor threads; a nonzero value
-  // overrides that cap (tests use this to force real concurrency). With one
-  // physical thread no threads are spawned and RunBatch executes jobs inline
-  // in submission order — the original single-threaded pipeline's exact
-  // operation order (job costs use the same modeled CPU + deferred-latency
-  // accounting as the threaded path). `versioned` (may be null) lets each
-  // executor's scratch state views read retained roots O(1) through pinned
-  // snapshot handles; workers never write to it.
+  // `workers` >= 1 threads; one runs every job inline on the coordinator in
+  // submission order. `versioned` (may be null) lets each worker's scratch
+  // state views read retained roots O(1) through pinned snapshot handles;
+  // workers never write to it.
   SpecPool(Mpt* trie, const Speculator::Options& options, size_t workers,
-           size_t physical_threads = 0, VersionedState* versioned = nullptr);
-  ~SpecPool();
-  SpecPool(const SpecPool&) = delete;
-  SpecPool& operator=(const SpecPool&) = delete;
+           VersionedState* versioned = nullptr);
 
-  size_t workers() const { return workers_; }
-  size_t physical_threads() const { return physical_; }
+  size_t workers() const { return pool_.threads(); }
 
   // Executes the batch, blocking until every job finished. Results come back
-  // in job order; lane attribution (round-robin by job index) and hence all
-  // per-lane accounting is deterministic for a given worker count.
+  // in job order; worker attribution (job index % workers) and hence all
+  // per-worker accounting is deterministic for a given worker count.
   std::vector<SpecJobResult> RunBatch(std::vector<SpecJob> jobs);
 
-  // Modeled wall time of the last batch: max over lanes of the job costs
-  // assigned to them (== the serial sum when workers == 1).
+  // CPU wall of the last batch: max over workers of the job costs they ran
+  // (== the serial sum when workers == 1).
   double last_batch_wall_seconds() const { return last_batch_wall_seconds_; }
+  // Stopwatch wall of every batch so far, summed.
+  double measured_wall_seconds() const { return measured_wall_seconds_; }
 
-  // Cumulative per-lane accounting across all batches.
+  // Cumulative per-worker accounting across all batches.
   const std::vector<SpecWorkerStats>& worker_stats() const { return worker_stats_; }
 
  private:
-  void WorkerLoop(size_t thread_index);
-  // Executes one job into its result slot, measuring modeled cost and store
-  // traffic. Called without the pool lock: the caller obtained `job`/`result`
-  // from the batch vectors while holding it (executors) or owns them outright
-  // (the inline path), and slot disjointness does the rest.
-  void ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& result, size_t job_index);
+  // Executes one job into its result slot, measuring its thread CPU.
+  void ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
+                  size_t worker);
 
-  Mpt* trie_;
-  Speculator::Options options_;
-  VersionedState* versioned_;
-  size_t workers_;   // modeled lanes
-  size_t physical_;  // executor threads actually running jobs
+  // One Speculator per worker, built once; worker w only ever uses its own.
+  std::vector<Speculator> speculators_;
+  WorkerPool pool_;
 
-  std::vector<std::thread> threads_;
-  // Batch handoff state, all guarded by the batch mutex. Retirement (the
-  // jobs_/results_ = nullptr writes at the end of RunBatch) must also happen
-  // under it: an empty-stripe executor can wake from the batch-start notify
-  // arbitrarily late, and its wait predicate reads these pointers under the
-  // lock — the unguarded clear that used to race here (PR 1's
-  // batch-retirement UAF) is now a clang -Wthread-safety build break.
-  Mutex mutex_;
-  CondVar work_cv_;  // workers: a batch (or shutdown) is ready
-  CondVar done_cv_;  // coordinator: the batch drained
-  bool shutdown_ FRN_GUARDED_BY(mutex_) = false;
-  std::vector<SpecJob>* jobs_ FRN_GUARDED_BY(mutex_) = nullptr;
-  std::vector<SpecJobResult>* results_ FRN_GUARDED_BY(mutex_) = nullptr;
-  size_t batch_seq_ FRN_GUARDED_BY(mutex_) = 0;  // bumped per batch; wakes the workers
-  size_t done_jobs_ FRN_GUARDED_BY(mutex_) = 0;
-
-  // Coordinator-only (written between batches, no executor ever touches them).
+  // Coordinator-only (written between batches, no worker ever touches them).
   double last_batch_wall_seconds_ = 0;
+  double measured_wall_seconds_ = 0;
   std::vector<SpecWorkerStats> worker_stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "src/forerunner/speculator.h"
 
+#include <algorithm>
+
 #include "src/evm/evm.h"
 
 namespace frn {

@@ -11,7 +11,7 @@
 
 #include "src/core/ap.h"
 #include "src/core/trace_builder.h"
-#include "src/metrics/metrics.h"
+#include "src/common/clock.h"
 #include "src/state/statedb.h"
 
 namespace frn {

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 #include "src/common/clock.h"
-
+#include "src/common/worker_pool.h"
 #include "src/crypto/keccak.h"
 #include "src/obs/registry.h"
 #include "src/rlp/rlp.h"
-#include "src/state/commit_pool.h"
 #include "src/state/versioned_state.h"
 
 namespace frn {
@@ -76,7 +74,7 @@ void SnapshotHandle::NotifyRelease() {
 }
 
 StateDb::StateDb(Mpt* trie, const Hash& root, VersionedState* versioned,
-                 CommitPool* commit_pool)
+                 WorkerPool* commit_pool)
     : trie_(trie), root_(root), versioned_(versioned), commit_pool_(commit_pool) {
   if (versioned_ != nullptr) {
     view_ = versioned_->AcquireAt(root_);
@@ -463,15 +461,15 @@ Hash StateDb::Commit() {
   // Phase 1: collect one fold job per account with dirty storage. Load() runs
   // on the coordinator (the account cache and stats are not thread-safe); the
   // fold later only touches per-job state.
-  // Map order decides only the job -> lane assignment, which feeds the
-  // modeled (schedule-dependent, documented-variable) timing fields; roots
-  // and counted stats are order-independent because the subtries are
-  // disjoint and content-addressed.
+  // Map order decides only which worker folds which job, which feeds the
+  // timing fields; roots and counted stats are order-independent because the
+  // subtries are disjoint and content-addressed.
   struct StorageJob {
     StorageCache* cache = nullptr;
     Account* account = nullptr;
     Hash new_root;
     KvStore::StagedWrites staged;
+    double cpu_seconds = 0;  // the folding thread's CPU time, cold-read spins included
   };
   std::vector<StorageJob> jobs;
   // Dirty slots for the versioned store's forward delta (empty when no store
@@ -497,79 +495,46 @@ Hash StateDb::Commit() {
   // Phase 2: fold + hash each account's storage subtrie. The subtries are
   // disjoint and content-addressed, so any schedule produces the same roots;
   // node blobs are staged per job (reads of a just-staged node are free, like
-  // a just-written hot node on the serial path) and batch-applied below.
-  //
-  // Per-job cost is modeled as thread-CPU plus store latency, the same
-  // scheduler-independent accounting the speculation pool uses: on executor
-  // threads cold-read latency is deferred into the job's sink (and the
-  // coordinator settles the slowest lane's total for real below), while the
-  // inline path spins as before — a spin is thread CPU, so both modes measure
-  // the same quantity.
-  const size_t lanes = commit_pool_ != nullptr ? commit_pool_->workers() : 1;
-  const bool defer_io = lanes > 1 && jobs.size() > 1;
-  std::vector<double> job_cost(jobs.size(), 0.0);
-  std::vector<double> job_io(jobs.size(), 0.0);
-  auto fold = [&](size_t i) {
+  // a just-written hot node on the serial path) and batch-applied below. A
+  // fold spins its own cold reads, so the stopwatch around this phase is the
+  // fold wall and a job's thread CPU is its whole cost.
+  auto fold = [&](size_t i, size_t /*worker*/) {
     StorageJob& job = jobs[i];
-    double cpu_start = ThreadCpuSeconds();
-    KvStoreStats io;
-    {
-      std::optional<KvStore::StatsScope> scope;
-      if (defer_io) {
-        scope.emplace(&io);
+    ThreadCpuTimer cpu;
+    KvStore::StageScope stage(&job.staged);
+    Hash storage_root =
+        job.account->storage_root.IsZero() ? Mpt::EmptyRoot() : job.account->storage_root;
+    // MPT roots are insertion-order independent (history-independent
+    // structure), so any iteration order folds to the same subtrie root.
+    // Reordering would perturb interior-node write *counts*, which is why
+    // this site is frozen with a suppression rather than sorted.
+    for (const auto& [key, value] : job.cache->current) {  // frn:allow(unordered-iter)
+      Bytes encoded;
+      if (!value.IsZero()) {
+        encoded = RlpEncoder::EncodeUint(value);
       }
-      KvStore::StageScope stage(&job.staged);
-      Hash storage_root = job.account->storage_root.IsZero()
-                              ? Mpt::EmptyRoot()
-                              : job.account->storage_root;
-      // MPT roots are insertion-order independent (history-independent
-      // structure), so any iteration order folds to the same subtrie root.
-      // Reordering would perturb interior-node write *counts*, which is why
-      // this site is frozen with a suppression rather than sorted.
-      for (const auto& [key, value] : job.cache->current) {  // frn:allow(unordered-iter)
-        Bytes encoded;
-        if (!value.IsZero()) {
-          encoded = RlpEncoder::EncodeUint(value);
-        }
-        storage_root = trie_->Put(storage_root, StorageKey(key), encoded);
-      }
-      job.new_root = storage_root;
+      storage_root = trie_->Put(storage_root, StorageKey(key), encoded);
     }
-    job_io[i] = io.deferred_latency_seconds;
-    job_cost[i] = (ThreadCpuSeconds() - cpu_start) + io.deferred_latency_seconds;
+    job.new_root = storage_root;
+    job.cpu_seconds = cpu.ElapsedSeconds();
   };
+  Stopwatch fold_watch;
   if (commit_pool_ != nullptr) {
     commit_pool_->Run(jobs.size(), fold);
   } else {
     for (size_t i = 0; i < jobs.size(); ++i) {
-      fold(i);
+      fold(i, 0);
     }
   }
-
-  // Lane accounting mirrors CommitPool's static stripe (job i runs on worker
-  // i % lanes), so the modeled wall is the cost of the slowest stripe. The
-  // coordinator pays the slowest stripe's deferred store latency physically:
-  // the critical path saves only the cross-lane overlap, never the I/O itself.
+  const double fold_wall = fold_watch.ElapsedSeconds();
   if (!jobs.empty()) {
     double fold_serial = 0;
-    double fold_io = 0;
-    std::vector<double> lane_cost(lanes, 0.0);
-    std::vector<double> lane_io(lanes, 0.0);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      fold_serial += job_cost[i];
-      fold_io += job_io[i];
-      lane_cost[i % lanes] += job_cost[i];
-      lane_io[i % lanes] += job_io[i];
-    }
-    double fold_wall = *std::max_element(lane_cost.begin(), lane_cost.end());
-    double settle_io = *std::max_element(lane_io.begin(), lane_io.end());
-    if (defer_io && settle_io > 0) {
-      SpinFor(std::chrono::nanoseconds(static_cast<int64_t>(settle_io * 1e9)));
+    for (const StorageJob& job : jobs) {
+      fold_serial += job.cpu_seconds;
     }
     commit_stats_.fold_jobs += jobs.size();
     commit_stats_.fold_serial_seconds += fold_serial;
     commit_stats_.fold_wall_seconds += fold_wall;
-    commit_stats_.fold_io_seconds += fold_io;
     static Counter* fold_jobs = MetricsRegistry::Global().GetCounter("commit.fold_jobs");
     static SecondsCounter* fold_serial_counter =
         MetricsRegistry::Global().GetSeconds("commit.fold_serial_seconds");

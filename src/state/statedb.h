@@ -86,22 +86,20 @@ struct StateDbStats {
   }
 };
 
-// Modeled cost accounting for the parallel commit pipeline, accumulated per
-// StateDb instance across its Commit() calls. Job costs are thread-CPU plus
-// deferred store latency (the ThreadCpuSeconds idiom the speculation pool
-// uses), so the serial/wall split holds on any host regardless of how many
-// physical cores back the commit workers.
+// Cost accounting for the commit's storage-subtrie folds, accumulated per
+// StateDb instance across its Commit() calls. The wall is a stopwatch around
+// the fold phase; the serial figure sums each job's thread CPU time, which
+// includes the cold-read latency the folding thread spun.
 struct CommitStats {
   uint64_t commits = 0;
   uint64_t fold_jobs = 0;           // storage-subtrie fold jobs dispatched
-  double fold_serial_seconds = 0;   // sum of per-job modeled cost
-  double fold_wall_seconds = 0;     // max over modeled lanes per commit, summed
-  double fold_io_seconds = 0;       // store latency deferred inside the folds
+  double fold_serial_seconds = 0;   // sum of per-job thread CPU
+  double fold_wall_seconds = 0;     // measured fold-phase wall, summed over commits
 };
 
 struct StateVersion;
 class VersionedState;
-class CommitPool;
+class WorkerPool;
 
 // Release-notification rendezvous between SnapshotHandle and the
 // VersionedState that issued it: the store owns one hook for its whole
@@ -203,10 +201,10 @@ class StateDb : public WorldState {
   // pins it and account/committed-slot reads are answered O(1) through the
   // handle (authoritatively: a miss under a valid handle means definitive
   // absence) — the trie is never walked to read; Commit publishes the block's
-  // delta as a new version. `commit_pool` parallelizes Commit's independent
-  // storage-subtrie folds; roots are bit-identical either way.
+  // delta as a new version. `commit_pool` runs Commit's independent
+  // storage-subtrie folds in parallel; roots are bit-identical either way.
   StateDb(Mpt* trie, const Hash& root, VersionedState* versioned = nullptr,
-          CommitPool* commit_pool = nullptr);
+          WorkerPool* commit_pool = nullptr);
 
   // ---- Account access (WorldState) ----
   bool Exists(const Address& addr) override;
@@ -301,7 +299,7 @@ class StateDb : public WorldState {
   Mpt* trie_;
   Hash root_;
   VersionedState* versioned_;
-  CommitPool* commit_pool_;
+  WorkerPool* commit_pool_;
   StateOverlay* overlay_ = nullptr;
   SnapshotHandle view_;
 

@@ -29,7 +29,7 @@ VersionedState::~VersionedState() {
 
 void VersionedState::NotifyHandleRelease() {
   // Fast path: nothing deferred, don't touch the store lock — this runs on
-  // every release of every pinned handle (speculation lanes included).
+  // every release of every pinned handle (speculation workers included).
   if (!fold_pending_.load(std::memory_order_acquire)) {
     return;
   }

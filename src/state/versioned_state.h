@@ -7,7 +7,7 @@
 // delta over its parent; the node chain bottoms out in a folded base map.
 // Every Node reads committed state only through this store — baseline and
 // Forerunner alike; the trie authenticates roots but is not walked to read.
-// Readers (the chain head, SpecPool lanes, the prefetcher, parallel attempts)
+// Readers (the chain head, SpecPool workers, the prefetcher, parallel attempts)
 // acquire a SnapshotHandle for the root they need and read through it
 // concurrently with commits — the handle pins the version, so a reorg to any
 // retained height is a handle swap, never a diff replay.

@@ -7,30 +7,23 @@ namespace frn {
 
 namespace {
 
-// Per-thread stats sink installed by KvStore::StatsScope. A worker thread only
-// speculates against one store at a time, so a single slot suffices.
-thread_local KvStoreStats* tls_stats_sink = nullptr;
-
 // Per-thread write-staging buffer installed by KvStore::StageScope. A commit
 // worker folds exactly one store's subtries at a time, so a single slot
 // suffices here too.
 thread_local KvStore::StagedWrites* tls_staged = nullptr;
 
-}  // namespace
-
+// Busy-waits for the given duration (models I/O latency without yielding,
+// matching the discrete-time benchmark methodology).
 void SpinFor(std::chrono::nanoseconds duration) {
   const double seconds = std::chrono::duration<double>(duration).count();
   Stopwatch watch;
   while (watch.ElapsedSeconds() < seconds) {
-    // Busy-wait: the cost must land on the calling thread's wall clock.
+    // Busy-wait: the cost lands on the calling thread's wall clock and CPU
+    // time alike, whether it is the critical path or a worker.
   }
 }
 
-KvStore::StatsScope::StatsScope(KvStoreStats* sink) : previous_(tls_stats_sink) {
-  tls_stats_sink = sink;
-}
-
-KvStore::StatsScope::~StatsScope() { tls_stats_sink = previous_; }
+}  // namespace
 
 KvStore::StageScope::StageScope(StagedWrites* staged) : previous_(tls_staged) {
   tls_staged = staged;
@@ -60,9 +53,6 @@ KvStore::HotShard& KvStore::ShardFor(const Hash& key) const {
 
 std::optional<Bytes> KvStore::Get(const Hash& key) {
   reads_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_stats_sink != nullptr) {
-    ++tls_stats_sink->reads;
-  }
   if (tls_staged != nullptr) {
     // A node this thread staged reads back without miss latency — on the
     // serial path a just-written node is hot for the same reason.
@@ -82,25 +72,11 @@ std::optional<Bytes> KvStore::Get(const Hash& key) {
   }
   if (!IsHot(key)) {
     // Two workers missing the same cold key both pay the latency, as two real
-    // threads would both stall on the same uncached disk page. Under a
-    // StatsScope the cost is charged to the scope's accounting instead of
-    // physically spun, so worker busy time stays scheduler-independent.
+    // threads would both stall on the same uncached disk page.
     cold_reads_.fetch_add(1, std::memory_order_relaxed);
-    if (tls_stats_sink != nullptr) {
-      ++tls_stats_sink->cold_reads;
-      tls_stats_sink->deferred_latency_seconds +=
-          std::chrono::duration<double>(options_.cold_read_latency).count();
-      // Same event, global view: stats() must account for every cold read
-      // whether it was spun or deferred (see the KvStoreStats contract).
-      deferred_nanos_.fetch_add(
-          static_cast<uint64_t>(options_.cold_read_latency.count()),
-          std::memory_order_relaxed);
-    } else {
-      SpinFor(options_.cold_read_latency);
-      stall_nanos_.fetch_add(
-          static_cast<uint64_t>(options_.cold_read_latency.count()),
-          std::memory_order_relaxed);
-    }
+    SpinFor(options_.cold_read_latency);
+    stall_nanos_.fetch_add(static_cast<uint64_t>(options_.cold_read_latency.count()),
+                           std::memory_order_relaxed);
     Touch(key);
   }
   return value;
@@ -108,9 +84,6 @@ std::optional<Bytes> KvStore::Get(const Hash& key) {
 
 void KvStore::Put(const Hash& key, Bytes value) {
   writes_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_stats_sink != nullptr) {
-    ++tls_stats_sink->writes;
-  }
   if (tls_staged != nullptr) {
     auto [it, inserted] = tls_staged->index.emplace(key, tls_staged->blobs.size());
     if (inserted) {
@@ -182,8 +155,6 @@ KvStoreStats KvStore::stats() const {
   s.reads = reads_.load(std::memory_order_relaxed);
   s.cold_reads = cold_reads_.load(std::memory_order_relaxed);
   s.writes = writes_.load(std::memory_order_relaxed);
-  s.deferred_latency_seconds =
-      1e-9 * static_cast<double>(deferred_nanos_.load(std::memory_order_relaxed));
   s.stall_seconds = 1e-9 * static_cast<double>(stall_nanos_.load(std::memory_order_relaxed));
   return s;
 }
@@ -193,7 +164,6 @@ void KvStore::ResetStats() {
   cold_reads_.store(0, std::memory_order_relaxed);
   writes_.store(0, std::memory_order_relaxed);
   stall_nanos_.store(0, std::memory_order_relaxed);
-  deferred_nanos_.store(0, std::memory_order_relaxed);
 }
 
 size_t KvStore::hot_size() const {

@@ -33,29 +33,12 @@ namespace frn {
 
 class PersistLog;
 
-// Busy-waits for the given duration (models I/O latency without yielding,
-// matching the discrete-time benchmark methodology: the cost lands on the
-// calling thread's wall clock whether it is the critical path or a worker).
-void SpinFor(std::chrono::nanoseconds duration);
-
 struct KvStoreStats {
   uint64_t reads = 0;
   uint64_t cold_reads = 0;   // reads that paid the miss latency
   uint64_t writes = 0;
-  // Cold-read latency charged to the accounting model instead of physically
-  // spun. Threads under a StatsScope (speculation workers) accumulate the
-  // miss cost here so their modeled busy time includes it exactly once,
-  // independent of how the OS schedules the worker threads.
-  //
-  // Contract: every deferred cold read is recorded in exactly two places —
-  // once in the installing thread's sink (per-worker attribution) and once in
-  // the store's global total reported by stats(). The two views cover the
-  // same events; summing a sink into the global total double-counts.
-  // ResetStats() zeroes the store's global total only: installed sinks belong
-  // to their scopes and are never touched by the store.
-  double deferred_latency_seconds = 0;
-  // Simulated-disk time physically spun (critical-path cold reads, i.e. reads
-  // outside any StatsScope). deferred + stall together cover every cold read.
+  // Simulated-disk time spun by cold reads, on whichever thread took them
+  // (the critical path, a speculation worker, a commit fold).
   double stall_seconds = 0;
 };
 
@@ -95,24 +78,6 @@ class KvStore {
   KvStoreStats stats() const;
   void ResetStats();
   size_t size() const;
-
-  // Routes this thread's read counters additionally into `sink` for the
-  // lifetime of the scope. Speculation workers use this to attribute
-  // cache-hit rates per worker without cross-thread sampling races. While a
-  // scope is installed, cold reads defer their latency into the sink instead
-  // of busy-waiting: off-critical-path time is charged by the model, not by
-  // physically stalling a worker. (Deferred latency still lands in the global
-  // stats() total once — see the KvStoreStats contract above.)
-  class StatsScope {
-   public:
-    explicit StatsScope(KvStoreStats* sink);
-    ~StatsScope();
-    StatsScope(const StatsScope&) = delete;
-    StatsScope& operator=(const StatsScope&) = delete;
-
-   private:
-    KvStoreStats* previous_;
-  };
 
   // Write staging for the parallel commit pipeline: node blobs produced by
   // independent subtrie folds are buffered per worker and applied to the
@@ -169,9 +134,6 @@ class KvStore {
   std::atomic<uint64_t> cold_reads_{0};
   std::atomic<uint64_t> writes_{0};
   std::atomic<uint64_t> stall_nanos_{0};
-  // Global total of latency deferred into StatsScope sinks (see the
-  // KvStoreStats contract: same events as the sinks, reported once here).
-  std::atomic<uint64_t> deferred_nanos_{0};
 };
 
 }  // namespace frn

@@ -57,7 +57,7 @@ Hash MergeAndCommit(Mpt* trie, const Hash& root, const BlockContext& header,
 TEST(BlockStmTest, EmptyBlockConvergesTrivially) {
   TestWorld world;
   const Hash root = world.state().Commit();
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 4);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), {}, {}, ExecStrategy::kBaseline,
@@ -79,7 +79,7 @@ TEST(BlockStmTest, SingleTxMatchesSerial) {
   const Hash serial_root =
       RunSerial(&world.trie(), root, world.block(), txs, &serial_outcomes);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 4);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(1),
@@ -108,7 +108,7 @@ TEST(BlockStmTest, DisjointTransfersCommitInOneRound) {
   const Hash root = world.state().Commit();
   const Hash serial_root = RunSerial(&world.trie(), root, world.block(), txs, nullptr);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{4, 2, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 4);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(kTxs),
@@ -144,8 +144,7 @@ TEST(BlockStmTest, SharedCounterConflictsAreDeterministic) {
   EXPECT_EQ(check.GetStorage(feed, PriceFeed::CountSlot(round_id)), U256(kTxs));
 
   for (size_t workers : {2u, 4u}) {
-    ParallelBlockExecutor exec(&world.trie(), nullptr,
-                               ParallelExecOptions{workers, 2, 0});
+    ParallelBlockExecutor exec(&world.trie(), nullptr, workers);
     std::vector<ParallelTxResult> results;
     ParallelBlockStats stats;
     ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(kTxs),
@@ -182,7 +181,7 @@ TEST(BlockStmTest, AbortDuringReexecutionMatchesSerial) {
   ASSERT_EQ(serial_outcomes[0].result.status, ExecStatus::kSuccess);
   ASSERT_EQ(serial_outcomes[1].result.status, ExecStatus::kInsufficientBalance);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 2, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 2);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -204,7 +203,7 @@ TEST(BlockStmTest, FeeAccountSenderFallsBackToSerial) {
                                   from_coinbase};
   const Hash root = world.state().Commit();
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 2);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   // The commutative fee exemption is unsound when the fee account sends;
@@ -239,7 +238,7 @@ TEST(BlockStmTest, CoinbaseBalanceReadFallsBackToSerial) {
       MetricsRegistry::Global().GetCounter("exec.fee_balance_fallbacks");
   const uint64_t fallbacks_before = fee_fallbacks->value();
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 2);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   EXPECT_FALSE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -277,7 +276,7 @@ TEST(BlockStmTest, NonCoinbaseBalanceReadsStayParallel) {
   const Hash root = world.state().Commit();
   const Hash serial_root = RunSerial(&world.trie(), root, world.block(), txs, nullptr);
 
-  ParallelBlockExecutor exec(&world.trie(), nullptr, ParallelExecOptions{2, 1, 0});
+  ParallelBlockExecutor exec(&world.trie(), nullptr, 2);
   std::vector<ParallelTxResult> results;
   ParallelBlockStats stats;
   ASSERT_TRUE(exec.ExecuteBlock(root, world.block(), txs, NoSpecs(2),
@@ -455,7 +454,7 @@ TEST(BlockStmTest, StressExecutorWithConcurrentSnapshotReaders) {
     readers.emplace_back(reader);
   }
 
-  ParallelBlockExecutor exec(&trie, &versioned, ParallelExecOptions{4, 4, 0});
+  ParallelBlockExecutor exec(&trie, &versioned, 4);
   for (uint64_t n = 1; n <= kBlocks; ++n) {
     header.number = n;
     std::vector<Transaction> txs;

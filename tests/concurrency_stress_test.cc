@@ -143,18 +143,19 @@ TEST(ConcurrencyStressTest, KvStoreConcurrentGetPutTouch) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> errors{0};
   std::atomic<size_t> running{0};
+  std::atomic<uint64_t> reader_reads{0};
   std::vector<std::thread> threads;
   for (size_t r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r]() {
-      KvStoreStats local;
-      KvStore::StatsScope scope(&local);
+      uint64_t reads = 0;
       running.fetch_add(1, std::memory_order_relaxed);
       uint64_t iter = 0;
       // do-while: at least one read even if the writer already finished, so
-      // the local-stats check below cannot trip on scheduling alone.
+      // the local read-count check below cannot trip on scheduling alone.
       do {
         const Hash& key = keys[(r * 17 + iter) % keys.size()];
         ++iter;
+        ++reads;
         auto value = store.Get(key);
         if (!value.has_value()) {
           errors.fetch_add(1, std::memory_order_relaxed);
@@ -164,9 +165,10 @@ TEST(ConcurrencyStressTest, KvStoreConcurrentGetPutTouch) {
           store.Warm(keys[iter % keys.size()]);
         }
       } while (!stop.load(std::memory_order_relaxed));
-      if (local.reads == 0) {
+      if (reads == 0) {
         errors.fetch_add(1, std::memory_order_relaxed);
       }
+      reader_reads.fetch_add(reads, std::memory_order_relaxed);
     });
   }
 
@@ -190,6 +192,7 @@ TEST(ConcurrencyStressTest, KvStoreConcurrentGetPutTouch) {
 
   EXPECT_EQ(errors.load(), 0u);
   KvStoreStats total = store.stats();
+  EXPECT_GE(total.reads, reader_reads.load());
   EXPECT_GE(total.reads, total.cold_reads);
   EXPECT_GT(total.writes, 2000u);
 }

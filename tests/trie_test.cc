@@ -324,43 +324,6 @@ TEST(KvStoreTest, RewarmingResidentKeysNeverEvicts) {
   }
 }
 
-TEST(KvStoreTest, DeferredLatencyReportedOnceAndResetConsistently) {
-  KvStore::Options o;
-  o.cold_read_latency = std::chrono::nanoseconds(2000);
-  KvStore store(o);
-  store.Put(HashOf(1), Val("a"));
-  store.Put(HashOf(2), Val("b"));
-  store.CoolAll();
-  store.ResetStats();
-
-  const double unit = 2000e-9;
-  KvStoreStats sink;
-  {
-    KvStore::StatsScope scope(&sink);
-    store.Get(HashOf(1));  // cold: deferred into the sink
-    store.Get(HashOf(2));  // cold: deferred into the sink
-    store.Get(HashOf(1));  // hot now: no latency
-  }
-  // Contract: each deferred read appears once in the sink and once in the
-  // global stats() total — two views of the same events, never summed.
-  EXPECT_DOUBLE_EQ(sink.deferred_latency_seconds, 2 * unit);
-  EXPECT_DOUBLE_EQ(store.stats().deferred_latency_seconds, 2 * unit);
-  EXPECT_DOUBLE_EQ(store.stats().stall_seconds, 0.0);
-
-  // ResetStats zeroes the store's global total but never reaches into sinks.
-  store.ResetStats();
-  EXPECT_DOUBLE_EQ(store.stats().deferred_latency_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(sink.deferred_latency_seconds, 2 * unit);
-
-  store.CoolAll();
-  {
-    KvStore::StatsScope scope(&sink);
-    store.Get(HashOf(2));
-  }
-  EXPECT_DOUBLE_EQ(store.stats().deferred_latency_seconds, unit);
-  EXPECT_DOUBLE_EQ(sink.deferred_latency_seconds, 3 * unit);
-}
-
 TEST(KvStoreTest, StagedWritesInvisibleUntilBatchApply) {
   KvStore store(FastStore());
   KvStore::StagedWrites staged;

@@ -1,11 +1,12 @@
-// Unit tests for the fundamental value types: addresses, hashes, hex codecs
-// and the deterministic RNG.
+// Unit tests for the fundamental value types: addresses, hashes, hex codecs,
+// the deterministic RNG and the stopwatch.
 #include "src/common/types.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "src/common/clock.h"
 #include "src/common/rng.h"
 
 namespace frn {
@@ -108,6 +109,14 @@ TEST(RngTest, ForkProducesIndependentStreams) {
   Rng f1 = base.Fork(1);
   Rng f2 = base.Fork(2);
   EXPECT_NE(f1.NextU64(), f2.NextU64());
+}
+
+TEST(StopwatchTest, MeasuresElapsed) {
+  Stopwatch w;
+  double a = w.ElapsedSeconds();
+  double b = w.ElapsedSeconds();
+  EXPECT_GE(b, a);
+  EXPECT_GE(a, 0.0);
 }
 
 }  // namespace

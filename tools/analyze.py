@@ -23,7 +23,7 @@ and layering contracts against it:
                    invisibly escapes the clang -Wthread-safety stage, which
                    can only check what is declared.
   layering         Enforces the include DAG over src/ (see LAYER_RANKS):
-                   common -> {crypto,rlp,metrics} -> {evm,core,easm,
+                   common -> {crypto,rlp} -> {evm,core,easm,
                    contracts} -> {obs,trie} -> state -> {dice,forerunner,
                    replay,workload}. Includes within one rank are peer
                    includes and legal; an include whose target ranks above
@@ -108,7 +108,7 @@ PASSES = ("lock-order", "lock-annotation", "layering", "determinism")
 # Include-DAG ranks over src/<dir>/. Lower may not include higher; equal
 # ranks are peer groups and may include each other. The order mirrors the
 # build's link layering (src/*/CMakeLists.txt): common has no dependencies;
-# crypto/rlp/metrics are leaf utilities; the EVM group is the execution
+# crypto/rlp are leaf utilities; the EVM group is the execution
 # engine; obs and trie sit above it (obs is included by state and the
 # forerunner layers, trie feeds state); state owns the versioned store; the
 # top rank is the application layer (speculation engine, replay, workloads).
@@ -116,7 +116,6 @@ LAYER_RANKS = {
     "common": 0,
     "crypto": 1,
     "rlp": 1,
-    "metrics": 1,
     "evm": 2,
     "core": 2,
     "easm": 2,
@@ -1027,7 +1026,7 @@ def pass_layering(model, findings):
                 rel, line, "layering",
                 f"upward include: {rel} (rank {from_rank}) includes "
                 f"{header} (rank {to_rank}); the DAG is common -> "
-                f"crypto/rlp/metrics -> evm/core/easm/contracts -> "
+                f"crypto/rlp -> evm/core/easm/contracts -> "
                 f"obs/trie -> state -> app layers"))
 
 

@@ -14,13 +14,13 @@
 #   tier1           default build + full ctest suite (build/)
 #   reorg-gate      bench_reorg_stress determinism/consistency gate
 #   versioned-gate  bench_versioned_state gates: handle-acquire cost,
-#                   trie-only vs store-backed commit roots and the modeled
-#                   4-worker fold speedup, zero critical-path trie reads and
+#                   trie-only vs store-backed commit roots and the measured
+#                   fold wall's 4-worker speedup, zero critical-path trie reads and
 #                   full store coverage on L1 with and without fork churn,
 #                   reorg-depth sweep against the trie-only replay
 #   block-stm-gate  bench_block_stm gates: bit-identical roots at 1/2/4
 #                   block workers under low- and high-conflict traffic,
-#                   deterministic conflict counts, >= 2x modeled speedup
+#                   deterministic conflict counts, >= 2x CPU-wall speedup
 #   persist-smoke   cold-start/recovery: run forerunner_sim with a persist
 #                   dir, reopen it with `recover`, require the same head root
 #   thread-safety   clang build with -Wthread-safety -Werror=thread-safety
@@ -95,7 +95,6 @@ format_files=(
   tests/lint_fixtures/bad_raw_clock.cc
   tests/lint_fixtures/bad_raw_rand.cc
   tests/lint_fixtures/bad_raw_sync.cc
-  tests/lint_fixtures/bad_stats_reset.cc
   tests/lint_fixtures/bad_todo_tag.cc
   tests/lint_fixtures/bad_unordered_iter.cc
 )

@@ -11,7 +11,7 @@ Rules (see DESIGN.md §10 for the rationale behind each):
                         a clang -Wthread-safety build can check lock discipline.
   raw-clock             std::chrono::{steady,system,high_resolution}_clock,
                         clock_gettime, gettimeofday outside src/common/clock.h.
-                        Modeled-time accounting has exactly one source of time.
+                        Cost accounting has exactly one source of time.
   raw-rand              rand()/srand(), std::random_device, std::mt19937,
                         std::*_distribution outside src/common/rng.h. Every
                         stochastic draw must come from the seeded frn::Rng or
@@ -23,12 +23,8 @@ Rules (see DESIGN.md §10 for the rationale behind each):
                         is not a contract; ordered output must not depend on
                         it. Iterations that are provably order-independent
                         carry a suppression explaining why.
-  stats-reset-in-scope  KvStore::ResetStats() inside the lexical extent of a
-                        live StatsScope guard. Per the kv_store.h contract a
-                        sink and the global total cover the same events;
-                        resetting the global mid-scope tears that invariant.
-  raii-temporary        A guard type (MutexLock, ReaderLock, StatsScope,
-                        StageScope, TraceSpan) constructed as an unnamed
+  raii-temporary        A guard type (MutexLock, ReaderLock, StageScope,
+                        TraceSpan) constructed as an unnamed
                         temporary: `MutexLock(mu_);` locks and unlocks on the
                         same line, which is never what was meant.
   todo-tag              TODO/FIXME without an owner/issue tag: write
@@ -86,17 +82,13 @@ DETERMINISM_FN_RE = re.compile(
     r"(Json|Merge|Snapshot|Commit|Write|Export|Root|Stats|Dump|Summary)"
 )
 UNORDERED_DECL_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\s*<")
-GUARD_TYPES = r"(?:MutexLock|ReaderLock|StatsScope|StageScope|TraceSpan)"
+GUARD_TYPES = r"(?:MutexLock|ReaderLock|StageScope|TraceSpan)"
 # Unnamed guard temporary: a complete `Type(args);` statement on one line.
 # Requiring the trailing `);` keeps multi-line constructor *declarations* and
 # `= delete` lines (which continue past the closing paren) out of scope.
 RAII_TEMP_RE = re.compile(
     r"^\s*(?:frn::)?(?:KvStore::)?" + GUARD_TYPES + r"\s*\([^;]*\)\s*;\s*$"
 )
-STATS_SCOPE_DECL_RE = re.compile(
-    r"\b(?:KvStore::)?StatsScope\s+[A-Za-z_]\w*\s*[({]"
-)
-RESET_STATS_RE = re.compile(r"\bResetStats\s*\(")
 # A function-definition-looking line: starts at column 0, has a parameter
 # list, is not a control-flow statement. Heuristic — suppressions cover any
 # leftovers — but it matches every definition style used in this repo.
@@ -111,8 +103,6 @@ RULES = {
     "raw-rand": "raw randomness outside src/common/rng.h (use the seeded frn::Rng)",
     "unordered-iter": "iteration over a std::unordered_ container in a function that feeds "
                       "roots/JSON/stats (hash-map order is not deterministic output order)",
-    "stats-reset-in-scope": "ResetStats() inside a live StatsScope tears the "
-                            "sink/global two-views contract (see kv_store.h)",
     "raii-temporary": "RAII guard constructed as an unnamed temporary "
                       "(destroyed immediately — name it)",
     "todo-tag": "TODO/FIXME must carry a tag: TODO(#issue) or TODO(name)",
@@ -229,8 +219,6 @@ def lint_file(path, rel, rows, unordered_names):
     exempt = {rule for rule, files in RULE_EXEMPT_FILES.items() if rel in files}
 
     current_fn = ""
-    brace_depth = 0
-    stats_scopes = []  # brace depths at which a StatsScope guard was declared
 
     for idx, (code, comment, allow) in enumerate(rows):
         lineno = idx + 1
@@ -265,23 +253,6 @@ def lint_file(path, rel, rows, unordered_names):
                     report("unordered-iter",
                            f"{RULES['unordered-iter']} — `{m.group(1)}` in `{current_fn}`")
 
-        if STATS_SCOPE_DECL_RE.search(code):
-            stats_scopes.append(brace_depth)
-        if stats_scopes and RESET_STATS_RE.search(code):
-            report("stats-reset-in-scope")
-
-        # Brace tracking closes StatsScope extents at end of their block.
-        for ch in code:
-            if ch == "{":
-                brace_depth += 1
-            elif ch == "}":
-                brace_depth -= 1
-                # A guard declared at depth D dies when its block closes,
-                # i.e. when the depth drops *below* D (a nested {...} pair
-                # returning to D, like a braced initializer, is not the end
-                # of the enclosing block).
-                while stats_scopes and brace_depth < stats_scopes[-1]:
-                    stats_scopes.pop()
 
     return findings
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Builds the repo with ThreadSanitizer (-DFRN_SANITIZE=thread) into build-tsan/
-# and runs the concurrency-sensitive tests: the snapshot-reader / KvStore
-# stress test (readers pinning VersionedState handles while commits land),
-# the parallel speculation engine determinism test, the full forerunner node
+# and runs the concurrency-sensitive tests: the persistent WorkerPool every
+# parallel stage runs on, the snapshot-reader / KvStore stress test (readers
+# pinning VersionedState handles while commits land), the parallel
+# speculation engine determinism test, the full forerunner node
 # test, the node-subsystem tests (mempool admission and the chain manager's
 # multi-depth reorgs around the worker pool), the versioned snapshot store
 # (readers pinning handles through commit/fork churn, the parallel commit
-# pool), the optimistic parallel block executor (worker threads publishing
+# folds), the optimistic parallel block executor (worker threads publishing
 # attempts through the round barrier while snapshot readers pin and read
 # concurrently), the persistence log's locked append path, the prefetcher's
 # trie-warming path, and the observability tests (sharded metrics registry
@@ -37,7 +38,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DFRN_SANITIZE=thread >/dev/null
-tsan_tests=(concurrency_stress_test spec_pool_test forerunner_test
+tsan_tests=(worker_pool_test concurrency_stress_test spec_pool_test forerunner_test
             mempool_test chain_manager_test
             versioned_state_test block_stm_test persist_test prefetcher_test
             obs_registry_test trace_format_test lockdep_test)
