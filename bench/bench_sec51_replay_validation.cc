@@ -18,18 +18,10 @@ int main() {
   auto traffic = workload.GenerateTraffic();
   DiceSimulator sim(cfg.dice, traffic);
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  auto make_options = [&](ExecStrategy strategy) {
-    NodeOptions options;
-    options.strategy = strategy;
-    options.store.cold_read_latency = cfg.cold_read_latency;
-    options.predictor.miners = MinerCandidates(sim.miners());
-    options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-    return options;
-  };
 
   // ---- Live run ----
-  Node live_base(make_options(ExecStrategy::kBaseline), genesis);
-  Node live_frn(make_options(ExecStrategy::kForerunner), genesis);
+  Node live_base(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node live_frn(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
   SimReport live = sim.Run({&live_base, &live_frn}, "L1-live");
   RequireConsistentRoots(live);
   SpeedupSummary live_summary = Summarize(Compare(live, 1));
@@ -47,8 +39,8 @@ int main() {
               static_cast<double>(text.size()) / 1024.0);
 
   // ---- Replay against fresh nodes ----
-  Node replay_base(make_options(ExecStrategy::kBaseline), genesis);
-  Node replay_frn(make_options(ExecStrategy::kForerunner), genesis);
+  Node replay_base(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node replay_frn(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
   SimReport replayed = ReplayRecording(reloaded, {&replay_base, &replay_frn});
   RequireConsistentRoots(replayed);
   SpeedupSummary replay_summary = Summarize(Compare(replayed, 1));

@@ -184,27 +184,16 @@ ScenarioRun RunScenarioWithTweaks(ScenarioConfig cfg,
   DiceSimulator sim(cfg.dice, traffic);
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
 
-  auto make_options = [&](ExecStrategy strategy) {
-    NodeOptions options;
-    options.strategy = strategy;
-    options.store.cold_read_latency = cfg.cold_read_latency;
-    options.predictor.miners = MinerCandidates(sim.miners());
-    options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-    return options;
-  };
-
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<Node*> node_ptrs;
-  std::vector<ExecStrategy> strategies;
-  nodes.push_back(std::make_unique<Node>(make_options(ExecStrategy::kBaseline), genesis));
-  strategies.push_back(ExecStrategy::kBaseline);
+  nodes.push_back(std::make_unique<Node>(
+      ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis));
   for (const auto& [s, tweak] : extra) {
-    NodeOptions options = make_options(s);
+    NodeOptions options = ScenarioNodeOptions(cfg, s, sim.miners());
     if (tweak) {
       tweak(&options);
     }
     nodes.push_back(std::make_unique<Node>(options, genesis));
-    strategies.push_back(s);
   }
   for (auto& n : nodes) {
     node_ptrs.push_back(n.get());
@@ -213,10 +202,6 @@ ScenarioRun RunScenarioWithTweaks(ScenarioConfig cfg,
   ScenarioRun run;
   run.cfg = cfg;
   run.report = sim.Run(node_ptrs, cfg.name);
-  run.strategies = strategies;
-  for (size_t i = 0; i < strategies.size(); ++i) {
-    run.report.nodes[i].strategy = strategies[i];
-  }
   RequireConsistentRoots(run.report);
   return run;
 }

@@ -124,7 +124,6 @@ bool FinishObservability(const BenchArgs& args, const std::string& bench_name,
 struct ScenarioRun {
   ScenarioConfig cfg;
   SimReport report;  // nodes[0] is always the baseline
-  std::vector<ExecStrategy> strategies;  // aligned with report.nodes
 };
 
 // Runs `cfg` with a baseline node plus one node per entry of `extra`.

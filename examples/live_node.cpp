@@ -42,16 +42,8 @@ int main(int argc, char** argv) {
   DiceSimulator sim(cfg.dice, traffic);
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
 
-  auto make_options = [&](ExecStrategy strategy) {
-    NodeOptions options;
-    options.strategy = strategy;
-    options.store.cold_read_latency = cfg.cold_read_latency;
-    options.predictor.miners = MinerCandidates(sim.miners());
-    options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-    return options;
-  };
-  Node baseline(make_options(ExecStrategy::kBaseline), genesis);
-  Node forerunner(make_options(ExecStrategy::kForerunner), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node forerunner(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
 
   SimReport report = sim.Run({&baseline, &forerunner}, cfg.name);
 

@@ -117,6 +117,17 @@ bool DoneEqual(const ApNode& a, const ApNode& b) {
   return a.status == b.status && a.gas_used == b.gas_used && a.return_words == b.return_words;
 }
 
+// Shortcut eligibility: a compute run qualifies when it has at most this many
+// external inputs ...
+constexpr size_t kMaxShortcutInputs = 4;
+// ... and at least this many instructions (expensive instructions such as
+// KECCAK/EXP/DIV always qualify).
+constexpr size_t kMinShortcutLen = 2;
+// Maximal compute runs are split into sub-runs of at most this many external
+// inputs — the paper's nested-shortcut refinement: a segment depending on
+// fewer read-set registers is more likely to be skippable.
+constexpr size_t kMaxSubrunInputs = 2;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -171,7 +182,7 @@ Ap Ap::Build(LinearIr&& ir, const ApOptions& options) {
       continue;
     }
     // Find the maximal compute run starting at i, then split it into sub-runs
-    // of at most `max_subrun_inputs` external inputs each (the paper's
+    // of at most kMaxSubrunInputs external inputs each (the paper's
     // nested-shortcut refinement: a sub-segment depending on fewer read-set
     // registers can still be skipped when the enclosing segment cannot).
     size_t j = i;
@@ -195,7 +206,7 @@ Ap Ap::Build(LinearIr&& ir, const ApOptions& options) {
             fresh.push_back(a.reg);
           }
         }
-        if (end > k && inputs.size() + fresh.size() > options.max_subrun_inputs) {
+        if (end > k && inputs.size() + fresh.size() > kMaxSubrunInputs) {
           break;
         }
         inputs.insert(inputs.end(), fresh.begin(), fresh.end());
@@ -205,8 +216,8 @@ Ap Ap::Build(LinearIr&& ir, const ApOptions& options) {
       }
       // Eligible when the inputs-compared-per-instruction-skipped ratio pays
       // off: long runs, expensive instructions, or few-input short runs.
-      bool eligible = !inputs.empty() && inputs.size() <= options.max_shortcut_inputs &&
-                      (end - k >= options.min_shortcut_len || expensive ||
+      bool eligible = !inputs.empty() && inputs.size() <= kMaxShortcutInputs &&
+                      (end - k >= kMinShortcutLen || expensive ||
                        inputs.size() <= end - k);
       size_t shortcut_slot = SIZE_MAX;
       if (eligible) {

@@ -27,16 +27,6 @@
 namespace frn {
 
 struct ApOptions {
-  // Shortcut eligibility: a compute run qualifies when it has at most this
-  // many external inputs ...
-  size_t max_shortcut_inputs = 4;
-  // ... and at least this many instructions (expensive instructions such as
-  // KECCAK/EXP/DIV always qualify).
-  size_t min_shortcut_len = 2;
-  // Maximal compute runs are split into sub-runs of at most this many
-  // external inputs — the paper's nested-shortcut refinement: a segment
-  // depending on fewer read-set registers is more likely to be skippable.
-  size_t max_subrun_inputs = 2;
   bool enable_shortcuts = true;
 };
 

@@ -20,6 +20,26 @@ uint64_t TieHash(uint64_t salt, uint64_t tx_id) {
 
 }  // namespace
 
+void FillNodeRunStats(const Node& node, NodeRunStats* stats) {
+  stats->strategy = node.strategy();
+  stats->speculation_seconds = node.total_speculation_seconds();
+  stats->speculation_wall_seconds = node.total_speculation_wall_seconds();
+  stats->speculation_measured_wall_seconds = node.speculation_measured_wall_seconds();
+  stats->spec_workers = node.spec_workers();
+  stats->spec_worker_stats = node.spec_worker_stats();
+  stats->speculated_exec_seconds = node.total_speculated_exec_seconds();
+  stats->futures_speculated = node.futures_speculated();
+  stats->synthesis_failures = node.synthesis_failures();
+  stats->synthesis_stats = node.synthesis_stats();
+  stats->ap_stats = node.ap_stats();
+  stats->executed_speculations = node.executed_speculations();
+  stats->mempool = node.mempool_stats();
+  stats->spec_cache = node.spec_cache_stats();
+  stats->chain_state = node.chain_state_stats();
+  stats->versioned = node.versioned_stats();
+  stats->state_view_active = node.view_active();
+}
+
 std::vector<std::pair<Address, double>> MinerCandidates(
     const std::vector<MinerModel>& miners) {
   std::vector<std::pair<Address, double>> out;
@@ -122,9 +142,6 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
   report.scenario = scenario_name;
   report.txs_sent = traffic_.size();
   report.nodes.resize(nodes.size());
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    report.nodes[n].strategy = ExecStrategy::kBaseline;
-  }
 
   // Sample dissemination delays.
   std::vector<double> observer_heard(traffic_.size());
@@ -380,23 +397,7 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
     }
   }
   for (size_t n = 0; n < nodes.size(); ++n) {
-    report.nodes[n].speculation_seconds = nodes[n]->total_speculation_seconds();
-    report.nodes[n].speculation_wall_seconds = nodes[n]->total_speculation_wall_seconds();
-    report.nodes[n].speculation_measured_wall_seconds =
-        nodes[n]->speculation_measured_wall_seconds();
-    report.nodes[n].spec_workers = nodes[n]->spec_workers();
-    report.nodes[n].spec_worker_stats = nodes[n]->spec_worker_stats();
-    report.nodes[n].speculated_exec_seconds = nodes[n]->total_speculated_exec_seconds();
-    report.nodes[n].futures_speculated = nodes[n]->futures_speculated();
-    report.nodes[n].synthesis_failures = nodes[n]->synthesis_failures();
-    report.nodes[n].synthesis_stats = nodes[n]->synthesis_stats();
-    report.nodes[n].ap_stats = nodes[n]->ap_stats();
-    report.nodes[n].executed_speculations = nodes[n]->executed_speculations();
-    report.nodes[n].mempool = nodes[n]->mempool_stats();
-    report.nodes[n].spec_cache = nodes[n]->spec_cache_stats();
-    report.nodes[n].chain_state = nodes[n]->chain_state_stats();
-    report.nodes[n].versioned = nodes[n]->versioned_stats();
-    report.nodes[n].state_view_active = nodes[n]->view_active();
+    FillNodeRunStats(*nodes[n], &report.nodes[n]);
   }
   return report;
 }

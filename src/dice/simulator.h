@@ -68,7 +68,7 @@ struct DiceOptions {
 
 // Everything measured about one node over a run.
 struct NodeRunStats {
-  ExecStrategy strategy;
+  ExecStrategy strategy = ExecStrategy::kBaseline;
   std::vector<TxExecRecord> records;  // in chain order
   double total_exec_seconds = 0;
   // Speculation CPU cost (serial sum over futures), the CPU wall (per round:
@@ -138,6 +138,12 @@ class DiceSimulator {
   std::vector<MinerModel> miners_;
   Rng rng_;
 };
+
+// Copies what `node` accumulated over a run into `stats`: everything except
+// the per-transaction records and block seconds, which the run loop collects
+// block by block. DiceSimulator::Run and ReplayRecording both call it once
+// per node after the last block.
+void FillNodeRunStats(const Node& node, NodeRunStats* stats);
 
 // Candidate miner list (coinbase, weight) for predictor configuration.
 std::vector<std::pair<Address, double>> MinerCandidates(const std::vector<MinerModel>& miners);

@@ -7,10 +7,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
-#if defined(FRN_TRACING) && FRN_TRACING
-#include "src/evm/op_profiler.h"
-#endif
-
 namespace frn {
 
 const char* StrategyName(ExecStrategy strategy) {
@@ -31,15 +27,7 @@ AccelOutcome Accelerator::RunEvm(StateDb* state, const BlockContext& block,
                                  const Transaction& tx) {
   AccelOutcome out;
   Evm evm(state, block);
-#if defined(FRN_TRACING) && FRN_TRACING
-  // Per-opcode profiling observes every interpreter step; only compiled in
-  // when explicitly requested (-DFRN_TRACING=ON), so default builds keep the
-  // untraced interpreter loop.
-  EvmOpProfiler profiler;
-  out.result = evm.ExecuteTransaction(tx, &profiler);
-#else
   out.result = evm.ExecuteTransaction(tx);
-#endif
   static Counter* evm_runs = MetricsRegistry::Global().GetCounter("evm.runs");
   static Counter* evm_gas = MetricsRegistry::Global().GetCounter("evm.gas");
   evm_runs->Add();

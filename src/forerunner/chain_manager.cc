@@ -39,11 +39,21 @@ void ChainManager::BeginBlock(const Block& block, double first_seen) {
   (void)block;  // the undone block's content arrives later via AttachOrphan
   pending_.parent_root = head_root_;
   pending_.parent_header = head_;
-  pending_.parent_nonces = chain_nonces_;
+  pending_.nonce_deltas.clear();
   pending_.parent_first_seen = head_first_seen_;
   pending_.parent_view = state_ != nullptr ? state_->view() : SnapshotHandle{};
   pending_.orphans.clear();
   pending_first_seen_ = first_seen;
+}
+
+void ChainManager::AdvanceNonce(const Transaction& tx, ExecStatus status) {
+  if (status == ExecStatus::kBadNonce || status == ExecStatus::kInsufficientBalance) {
+    return;
+  }
+  auto [it, first_seen] = chain_nonces_.try_emplace(tx.sender, 0);
+  pending_.nonce_deltas.emplace_back(
+      tx.sender, first_seen ? std::nullopt : std::optional<uint64_t>(it->second));
+  it->second = tx.nonce + 1;
 }
 
 Hash ChainManager::CommitState() { return state_->Commit(); }
@@ -76,7 +86,15 @@ std::vector<OrphanedTx> ChainManager::RollbackHead() {
   head_root_ = record.parent_root;
   head_ = record.parent_header;
   head_first_seen_ = record.parent_first_seen;
-  chain_nonces_ = std::move(record.parent_nonces);
+  // Newest delta first, so a sender advanced twice ends at its pre-block
+  // nonce, and one the block first saw leaves the map again.
+  for (auto it = record.nonce_deltas.rbegin(); it != record.nonce_deltas.rend(); ++it) {
+    if (it->second.has_value()) {
+      chain_nonces_[it->first] = *it->second;
+    } else {
+      chain_nonces_.erase(it->first);
+    }
+  }
   // The rollback is a handle swap: record.parent_view has kept the parent
   // version pinned for the whole window, so ReopenState's
   // AcquireAt(parent_root) below is guaranteed to hit; the record (and its

@@ -1,11 +1,12 @@
 // The chain/state lifecycle manager (paper Fig. 3, consensus-to-execution
 // boundary): a block history over StateDb roots supporting multi-depth
-// reorgs. The manager keeps a bounded undo window (root, header, nonce map,
-// pinned snapshot handle, and the undone block's orphaned transactions) and
-// can walk the head back up to `max_reorg_depth` blocks, handing the orphans
-// back for mempool re-injection. Every state view reads through the node's
-// versioned store; the undo record's pinned handle keeps the parent version
-// acquirable, so a rollback is a handle swap — never a diff replay.
+// reorgs. The manager keeps a bounded undo window (root, header, the block's
+// nonce deltas, pinned snapshot handle, and the undone block's orphaned
+// transactions) and can walk the head back up to `max_reorg_depth` blocks,
+// handing the orphans back for mempool re-injection. Every state view reads
+// through the node's versioned store; the undo record's pinned handle keeps
+// the parent version acquirable, so a rollback is a handle swap — never a
+// diff replay.
 //
 // Threading: owned by the node's coordinator thread; speculation workers read
 // through their own pinned snapshot handles and never touch this object.
@@ -14,12 +15,13 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/worker_pool.h"
 #include "src/dice/block.h"
-#include "src/forerunner/spec_manager.h"
 #include "src/state/statedb.h"
 #include "src/state/versioned_state.h"
 
@@ -44,13 +46,11 @@ struct ChainManagerOptions {
   size_t block_workers = 1;
 };
 
-// A transaction orphaned by a rollback: what the mempool and speculation
-// manager need to re-admit it.
+// A transaction orphaned by a rollback: what the mempool needs to re-admit
+// it (only transactions the pool held when the block included them).
 struct OrphanedTx {
   Transaction tx;
   double heard_at = 0;
-  bool heard = false;           // was resident in the mempool when included
-  RetiredSpeculation spec;      // parked speculation (retain_across_reorg only)
 };
 
 class ChainManager {
@@ -67,16 +67,17 @@ class ChainManager {
   StateDb* state() { return state_.get(); }
   const Hash& head_root() const { return head_root_; }
   const BlockContext& head() const { return head_; }
-  std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces() {
-    return chain_nonces_;
-  }
   const std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces() const {
     return chain_nonces_;
   }
 
-  // Snapshot the pre-block state into a pending undo record. Called at the
-  // top of block execution, before any transaction mutates the nonce map.
+  // Opens the pending undo record for a block. Called at the top of block
+  // execution, before any transaction advances a nonce.
   void BeginBlock(const Block& block, double first_seen);
+  // Advances `tx.sender`'s chain nonce past an executed transaction (one
+  // rejected for its nonce or balance advances nothing), recording the prior
+  // value in the pending undo record.
+  void AdvanceNonce(const Transaction& tx, ExecStatus status);
   // Commits the execution state and returns the authenticated post-state
   // root; the only chain work inside the measured commit span.
   Hash CommitState();
@@ -122,7 +123,9 @@ class ChainManager {
   struct UndoRecord {
     Hash parent_root;
     BlockContext parent_header;
-    std::unordered_map<Address, uint64_t, AddressHasher> parent_nonces;
+    // One entry per nonce advance, in execution order: the sender's prior
+    // chain nonce, or nullopt when the block first saw the sender.
+    std::vector<std::pair<Address, std::optional<uint64_t>>> nonce_deltas;
     double parent_first_seen = 0;
     // Pin on the parent's version: while this record is inside the undo
     // window, the versioned store must be able to serve a rollback to it.

@@ -21,22 +21,19 @@ size_t ResolveSpecWorkers(const NodeOptions& options) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-KvStore::Options ResolveStoreOptions(const NodeOptions& options) {
-  KvStore::Options store = options.store;
-  store.persist = options.state.persist;
-  return store;
-}
+// Seed of the predictor's sampled sub-orderings (the only RNG a node draws).
+constexpr uint64_t kPredictorSeed = 0xF03E;
 
 }  // namespace
 
 Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& genesis)
     : options_(options),
-      store_(ResolveStoreOptions(options)),
+      store_(options.store),
       trie_(&store_),
       // The store must retain as many versions as the undo window is deep, or
       // a rollback inside the window would fall off coverage.
       versioned_(options.chain.max_reorg_depth),
-      rng_(options.rng_seed),
+      rng_(kPredictorSeed),
       predictor_(options.predictor),
       spec_pool_(&trie_, options.speculator, ResolveSpecWorkers(options), &versioned_),
       prefetcher_(&trie_, &versioned_),
@@ -45,7 +42,6 @@ Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& gene
                                &trie_, &versioned_, options.chain.block_workers)
                          : nullptr),
       mempool_(options.mempool),
-      spec_(options.spec),
       chain_(&trie_, &versioned_, options.chain) {
   // The genesis commit publishes the first version above the store's empty
   // base: empty maps are complete for the empty trie, so version coverage is
@@ -54,8 +50,8 @@ Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& gene
   genesis(&genesis_state);
   Hash genesis_root = genesis_state.Commit();
   chain_.SetGenesis(genesis_root);
-  if (options_.state.persist != nullptr) {
-    options_.state.persist->AppendHead(genesis_root, 0);
+  if (options_.store.persist != nullptr) {
+    options_.store.persist->AppendHead(genesis_root, 0);
   }
 }
 
@@ -197,10 +193,7 @@ bool Node::ExecuteTxsParallel(const Block& block, double sim_time, BlockExecRepo
     tx_seconds_hist->Record(record.seconds);
     report->txs.push_back(record);
 
-    if (record.status != ExecStatus::kBadNonce &&
-        record.status != ExecStatus::kInsufficientBalance) {
-      chain_.chain_nonces()[tx.sender] = tx.nonce + 1;
-    }
+    chain_.AdvanceNonce(tx, record.status);
   }
   return true;
 }
@@ -281,10 +274,7 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
     tx_seconds_hist->Record(record.seconds);
     report.txs.push_back(record);
 
-    if (record.status != ExecStatus::kBadNonce &&
-        record.status != ExecStatus::kInsufficientBalance) {
-      chain_.chain_nonces()[tx.sender] = tx.nonce + 1;
-    }
+    chain_.AdvanceNonce(tx, record.status);
   }
   {
     TraceSpan commit_span(collector, "block", "block.commit", commit_wall);
@@ -299,19 +289,18 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
 
   // Chain bookkeeping (off the measured path).
   chain_.AdvanceHead(block.header, report.state_root);
-  if (options_.state.persist != nullptr) {
-    options_.state.persist->AppendHead(report.state_root, block.header.number);
+  if (options_.store.persist != nullptr) {
+    options_.store.persist->AppendHead(report.state_root, block.header.number);
   }
   // Retire executed transactions from the pool and their speculation state
   // (keeping a summary for the §5.5 statistics); what a rollback would need
-  // to re-admit them is parked in the undo record.
+  // to re-admit the pooled ones is parked in the undo record.
   for (const Transaction& tx : block.txs) {
     double heard_time = 0;
-    bool was_heard = mempool_.Retire(tx.id, &heard_time);
-    RetiredSpeculation parked = spec_.Retire(tx.id);
-    if (was_heard || parked.has) {
-      chain_.AttachOrphan(OrphanedTx{tx, heard_time, was_heard, std::move(parked)});
+    if (mempool_.Retire(tx.id, &heard_time)) {
+      chain_.AttachOrphan(OrphanedTx{tx, heard_time});
     }
+    spec_.Retire(tx.id);
   }
   return report;
 }
@@ -323,25 +312,19 @@ void Node::RollbackHead() {
   static Counter* rollbacks = MetricsRegistry::Global().GetCounter("chain.rollbacks");
   rollbacks->Add();
   std::vector<OrphanedTx> orphans = chain_.RollbackHead();
-  if (options_.state.persist != nullptr) {
+  if (options_.store.persist != nullptr) {
     // Re-mark the restored head so a crash right after the rollback recovers
     // at the rolled-back root, not the orphaned one.
-    options_.state.persist->AppendHead(chain_.head_root(), chain_.head().number);
+    options_.store.persist->AppendHead(chain_.head_root(), chain_.head().number);
   }
   EmitInstant(&TraceCollector::Global(), "block", "chain.rollback",
               {TraceArg::U64("to_block", chain_.head().number)});
-  // Orphaned transactions return to the pending pool (if we ever heard them)
-  // and will be re-speculated against the restored head — unless a parked
-  // speculation still covering one of their retained roots comes back.
-  for (OrphanedTx& orphan : orphans) {
-    if (orphan.heard) {
-      Mempool::AddResult readded = mempool_.Reinsert(orphan.tx, orphan.heard_at);
-      for (uint64_t evicted : readded.evicted_ids) {
-        spec_.Drop(evicted);
-      }
-    }
-    if (orphan.spec.has && mempool_.Contains(orphan.tx.id)) {
-      spec_.Restore(orphan.tx.id, std::move(orphan.spec));
+  // Orphaned transactions return to the pending pool and will be
+  // re-speculated against the restored head.
+  for (const OrphanedTx& orphan : orphans) {
+    Mempool::AddResult readded = mempool_.Reinsert(orphan.tx, orphan.heard_at);
+    for (uint64_t evicted : readded.evicted_ids) {
+      spec_.Drop(evicted);
     }
   }
 }
@@ -394,10 +377,7 @@ JsonValue Node::StatsJson() const {
   JsonValue cache_json = JsonValue::Object();
   cache_json.Set("entries", static_cast<uint64_t>(cache.entries));
   cache_json.Set("max_entries_seen", static_cast<uint64_t>(cache.max_entries_seen));
-  cache_json.Set("evictions", cache.evictions);
   cache_json.Set("retired", cache.retired);
-  cache_json.Set("restored", cache.restored);
-  cache_json.Set("reorg_hits", cache.reorg_hits);
   cache_json.Set("root_skips", cache.root_skips);
   cache_json.Set("dropped", cache.dropped);
   node.Set("spec_cache", std::move(cache_json));

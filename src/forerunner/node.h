@@ -3,7 +3,7 @@
 //   - Mempool (dissemination): per-sender nonce-ordered queues with
 //     replacement-by-fee and bounded capacity (src/forerunner/mempool.h);
 //   - SpeculationManager (prediction/speculation): the full TxSpeculation
-//     lifecycle — build, merge, lookup, retire, reorg restoration
+//     lifecycle — build, merge, lookup, retire
 //     (src/forerunner/spec_manager.h);
 //   - ChainManager (execution/consensus): chain head, StateDb lifecycle and
 //     multi-depth reorg undo window (src/forerunner/chain_manager.h).
@@ -58,27 +58,20 @@ struct BlockExecReport {
 // path, the speculation workers, the prefetcher and parallel attempts, with
 // handle-swap reorgs to any height inside chain.max_reorg_depth. The trie
 // only authenticates roots.
-struct StateOptions {
-  // Optional durability (borrowed; must outlive the node): wired into the
-  // KvStore as its append-only segment log, plus per-block head markers so a
-  // restarted run recovers at the same head root (forerunner_sim
-  // --persist-dir).
-  PersistLog* persist = nullptr;
-};
-
 struct NodeOptions {
   ExecStrategy strategy = ExecStrategy::kForerunner;
+  // `store.persist` (borrowed; must outlive the node) adds durability: the
+  // KvStore's append-only segment log, plus per-block head markers so a
+  // restarted run recovers at the same head root (forerunner_sim
+  // --persist-dir).
   KvStore::Options store;
   PredictorOptions predictor;
   Speculator::Options speculator;
-  StateOptions state;
   // Subsystem knobs; every default reproduces the pre-decomposition node
-  // exactly (unbounded pool, latest-root-only speculation, nothing retained
-  // across reorgs, and a 4-deep undo window whose extra depth is pure
-  // history — a single rollback behaves identically).
+  // exactly (unbounded pool, and a 4-deep undo window whose extra depth is
+  // pure history — a single rollback behaves identically).
   MempoolOptions mempool;
   ChainManagerOptions chain;
-  SpecManagerOptions spec;
   // Ablation switch: skip the explicit prefetch pass (speculative execution
   // itself still warms whatever it touches).
   bool enable_prefetch = true;
@@ -94,7 +87,6 @@ struct NodeOptions {
   // outcomes) are measurements and vary run to run at any worker count;
   // set speculation_time_scale = 0 for exact cross-count reproducibility.
   size_t spec_workers = 0;
-  uint64_t rng_seed = 0xF03E;
 };
 
 class Node {
@@ -118,6 +110,7 @@ class Node {
   // NodeOptions::chain.max_reorg_depth blocks of retained undo history.
   void RollbackHead();
 
+  ExecStrategy strategy() const { return options_.strategy; }
   const Hash& head_root() const { return chain_.head_root(); }
   const BlockContext& head() const { return chain_.head(); }
   uint64_t pool_size() const { return static_cast<uint64_t>(mempool_.size()); }

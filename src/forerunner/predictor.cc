@@ -6,6 +6,11 @@ namespace frn {
 
 namespace {
 
+// Recall over precision: predict this percentage of a block's capacity.
+constexpr uint64_t kCapacityPercent = 250;
+// Upper bound on transactions speculated per prediction round.
+constexpr size_t kMaxPredictedTxs = 512;
+
 // Selects a nonce-valid, gas-price-ordered prefix of the pool, mimicking how
 // miners pack blocks (higher fee first, per-sender nonce chains respected).
 std::vector<const PendingTx*> SimulatePacking(
@@ -23,7 +28,17 @@ std::vector<const PendingTx*> SimulatePacking(
     }
     return a->tx.id < b->tx.id;
   });
-  std::unordered_map<Address, uint64_t, AddressHasher> next_nonce = chain_nonces;
+  // Next nonces of the senders packed so far; every other sender's comes from
+  // the chain.
+  std::unordered_map<Address, uint64_t, AddressHasher> packed_nonces;
+  auto next_nonce = [&](const Address& sender) -> uint64_t {
+    auto it = packed_nonces.find(sender);
+    if (it != packed_nonces.end()) {
+      return it->second;
+    }
+    auto chain_it = chain_nonces.find(sender);
+    return chain_it != chain_nonces.end() ? chain_it->second : 0;
+  };
   std::vector<const PendingTx*> packed;
   uint64_t gas_used = 0;
   bool progress = true;
@@ -36,13 +51,12 @@ std::vector<const PendingTx*> SimulatePacking(
       if (std::find(packed.begin(), packed.end(), p) != packed.end()) {
         continue;
       }
-      auto it = next_nonce.find(p->tx.sender);
-      uint64_t expected = (it != next_nonce.end()) ? it->second : 0;
+      uint64_t expected = next_nonce(p->tx.sender);
       if (p->tx.nonce != expected) {
         continue;
       }
       packed.push_back(p);
-      next_nonce[p->tx.sender] = expected + 1;
+      packed_nonces[p->tx.sender] = expected + 1;
       gas_used += p->tx.gas_limit;
       progress = true;
     }
@@ -56,9 +70,9 @@ std::vector<TxPrediction> MultiFuturePredictor::PredictNextBlock(
     const MempoolView& pool, const BlockContext& head,
     const std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces,
     uint64_t block_gas_limit, Rng* rng) const {
-  uint64_t budget = block_gas_limit * options_.capacity_percent / 100;
+  uint64_t budget = block_gas_limit * kCapacityPercent / 100;
   std::vector<const PendingTx*> predicted =
-      SimulatePacking(pool, chain_nonces, budget, options_.max_predicted_txs);
+      SimulatePacking(pool, chain_nonces, budget, kMaxPredictedTxs);
 
   // Dependency grouping: transactions sharing a sender or a receiver may
   // interfere; the ordered list that matters for a transaction's context is

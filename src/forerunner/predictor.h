@@ -19,10 +19,6 @@ namespace frn {
 struct PredictorOptions {
   // How many future contexts to construct per transaction.
   size_t max_futures_per_tx = 8;
-  // Recall over precision: predict this percentage of a block's capacity.
-  size_t capacity_percent = 250;
-  // Upper bound on transactions speculated per prediction round.
-  size_t max_predicted_txs = 512;
   // Candidate miners (coinbase, weight); the top two are used as header
   // variants. Empty => a single unknown-coinbase future.
   std::vector<std::pair<Address, double>> miners;

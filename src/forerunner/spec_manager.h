@@ -4,9 +4,10 @@
 // for the current head root, merges worker-pool results in submission order
 // (reproducing the pre-decomposition stat streams bit for bit), serves the
 // critical path's constraint-check lookups, and retires entries when a block
-// commits. Optional knobs bound memory (LRU eviction) and retain speculation
-// across reorgs; the defaults reproduce the pre-decomposition behaviour
-// exactly (unbounded, latest root only, nothing survives retirement).
+// commits. The cache has one policy: each entry belongs to one pending
+// transaction, is valid for the one head root it was built at, and is erased
+// when the pool lets the transaction go (Retire on inclusion, Drop on
+// replacement or eviction), so the pool's capacity also bounds the cache.
 //
 // Threading: owned by the node's coordinator thread. Worker threads only ever
 // see the TxSpeculation *copies* carried inside SpecJobs; entries here are
@@ -23,39 +24,12 @@
 
 namespace frn {
 
-struct SpecManagerOptions {
-  // Maximum resident TxSpeculation entries; 0 = unbounded. Eviction is LRU by
-  // speculation activity and runs only after a batch merges, so in-flight
-  // jobs never race an eviction.
-  size_t max_entries = 0;
-  // How many distinct head roots a transaction's speculation stays marked
-  // "done" for. 1 reproduces the pre-decomposition behaviour (latest root
-  // only: any head move forces re-speculation); larger values let a reorg
-  // back to a recently-seen root skip re-speculation entirely.
-  size_t roots_per_tx = 1;
-  // Park retired speculations of executed transactions inside the chain
-  // manager's undo window so a rollback can restore them (still keyed by the
-  // roots they were built against) instead of re-speculating from scratch.
-  bool retain_across_reorg = false;
-};
-
 struct SpecCacheStats {
   size_t entries = 0;
   size_t max_entries_seen = 0;
-  uint64_t evictions = 0;   // LRU capacity drops
   uint64_t retired = 0;     // erased because a block included the tx
-  uint64_t restored = 0;    // parked entries brought back by a reorg
-  uint64_t reorg_hits = 0;  // re-speculation avoided thanks to retained state
   uint64_t root_skips = 0;  // total "already speculated at this root" skips
   uint64_t dropped = 0;     // erased for replaced/evicted pool transactions
-};
-
-// A speculation parked at retirement for potential reorg restoration (empty
-// unless retain_across_reorg is on).
-struct RetiredSpeculation {
-  bool has = false;
-  TxSpeculation spec;
-  std::vector<Hash> roots;
 };
 
 // Per-executed-transaction speculation summary (§5.5: futures pre-executed,
@@ -71,11 +45,9 @@ struct SpecSummary {
 
 class SpeculationManager {
  public:
-  explicit SpeculationManager(const SpecManagerOptions& options) : options_(options) {}
-
   // Builds one SpecJob per prediction that still needs speculation at
-  // `head_root` (skipping transactions whose retained roots already cover
-  // it), carrying a copy of the accumulated speculation state. Each returned
+  // `head_root` (skipping transactions already speculated at that root),
+  // carrying a copy of the accumulated speculation state. Each returned
   // job's entry stays resident until the matching MergeResults call.
   std::vector<SpecJob> BuildJobs(const std::vector<TxPrediction>& predictions,
                                  const Hash& head_root, size_t futures_cap);
@@ -91,17 +63,13 @@ class SpeculationManager {
   void AddWallSeconds(double seconds) { total_wall_seconds_ += seconds; }
 
   // Critical path: the speculation for `tx_id` if one is ready by `sim_time`.
-  // Deliberately one map find with no LRU touch, so the measured region costs
-  // exactly what the pre-decomposition lookup did.
+  // One map find, so the measured region costs exactly what the
+  // pre-decomposition lookup did.
   const TxSpeculation* Lookup(uint64_t tx_id, double sim_time) const;
 
-  // Retirement on commit: records the §5.5 summary and erases the entry.
-  // With retain_across_reorg the state is returned for the chain manager to
-  // park in its undo window.
-  RetiredSpeculation Retire(uint64_t tx_id);
-
-  // Reorg restoration of a parked speculation (no-op if a fresh entry exists).
-  void Restore(uint64_t tx_id, RetiredSpeculation&& parked);
+  // Retirement on commit: records the §5.5 summary and erases the entry. A
+  // reorg that returns the transaction to the pool re-speculates it.
+  void Retire(uint64_t tx_id);
 
   // Discard without a summary: the pool replaced or evicted the transaction.
   void Drop(uint64_t tx_id);
@@ -123,17 +91,10 @@ class SpeculationManager {
  private:
   struct Entry {
     TxSpeculation spec;
-    std::vector<Hash> roots;  // roots speculated against, oldest first
-    uint64_t lru = 0;
-    bool restored = false;  // came back through Restore and not re-built since
+    Hash root;  // the head root the entry was last speculated against
   };
 
-  void MarkRoot(Entry* entry, const Hash& root);
-  void EnforceCapacity();
-
-  SpecManagerOptions options_;
   std::unordered_map<uint64_t, Entry> entries_;
-  uint64_t lru_counter_ = 0;
 
   double total_speculation_seconds_ = 0;
   double total_wall_seconds_ = 0;
@@ -145,10 +106,7 @@ class SpeculationManager {
   std::vector<SpecSummary> executed_speculations_;
 
   size_t max_entries_seen_ = 0;
-  uint64_t evictions_ = 0;
   uint64_t retired_ = 0;
-  uint64_t restored_ = 0;
-  uint64_t reorg_hits_ = 0;
   uint64_t root_skips_ = 0;
   uint64_t dropped_ = 0;
 };

@@ -8,6 +8,9 @@ namespace frn {
 
 namespace {
 
+// Perfect-match candidates kept per transaction (the newest ones).
+constexpr size_t kMaxRecords = 4;
+
 // Extracts the perfect-match record from a finalized LinearIr: every context
 // read with its traced arguments/value, and the concrete write set.
 FutureRecord ExtractRecord(const LinearIr& ir, const ExecResult& result) {
@@ -84,7 +87,7 @@ bool Speculator::SpeculateFuture(const Hash& root, const Transaction& tx,
   LinearIr ir;
   bool synthesized = builder.Finalize(speculated, &ir);
   if (synthesized) {
-    if (spec->records.size() >= options_.max_records) {
+    if (spec->records.size() >= kMaxRecords) {
       spec->records.erase(spec->records.begin());  // keep the newest records
     }
     spec->records.push_back(ExtractRecord(ir, speculated));

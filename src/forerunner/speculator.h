@@ -69,7 +69,6 @@ class Speculator {
  public:
   struct Options {
     ApOptions ap;
-    size_t max_records = 4;  // perfect-match candidates kept per tx
   };
 
   // `versioned` (may be null) serves the scratch views' pinned-snapshot reads

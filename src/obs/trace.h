@@ -8,8 +8,6 @@
 //    a branch. No allocation, no clock read, no lock.
 //  - Enabled: sampled spans read the steady clock twice and append one record
 //    to a thread-local buffer under that buffer's (uncontended) mutex.
-//  - Per-opcode EVM instrumentation is additionally compile-time gated behind
-//    FRN_TRACING (OFF by default) — see src/evm/op_profiler.h.
 //
 // Determinism: the tracer never touches the simulation RNG or the modeled
 // clocks; per-tx sampling is a pure hash of the tx id, so the same scenario
@@ -29,12 +27,6 @@
 #include "src/obs/registry.h"
 
 namespace frn {
-
-#if defined(FRN_TRACING) && FRN_TRACING
-inline constexpr bool kFineTracingCompiled = true;
-#else
-inline constexpr bool kFineTracingCompiled = false;
-#endif
 
 // One argument attached to a trace event. A tiny tagged union keeps span
 // emission allocation-light (strings only when a string arg is attached).

@@ -261,15 +261,7 @@ SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& 
   }
 
   for (size_t n = 0; n < nodes.size(); ++n) {
-    report.nodes[n].speculation_seconds = nodes[n]->total_speculation_seconds();
-    report.nodes[n].speculated_exec_seconds = nodes[n]->total_speculated_exec_seconds();
-    report.nodes[n].futures_speculated = nodes[n]->futures_speculated();
-    report.nodes[n].synthesis_failures = nodes[n]->synthesis_failures();
-    report.nodes[n].synthesis_stats = nodes[n]->synthesis_stats();
-    report.nodes[n].ap_stats = nodes[n]->ap_stats();
-    report.nodes[n].executed_speculations = nodes[n]->executed_speculations();
-    report.nodes[n].mempool = nodes[n]->mempool_stats();
-    report.nodes[n].spec_cache = nodes[n]->spec_cache_stats();
+    FillNodeRunStats(*nodes[n], &report.nodes[n]);
   }
   return report;
 }

@@ -77,6 +77,16 @@ bool IsScenarioName(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
+NodeOptions ScenarioNodeOptions(const ScenarioConfig& config, ExecStrategy strategy,
+                                const std::vector<MinerModel>& miners) {
+  NodeOptions options;
+  options.strategy = strategy;
+  options.store.cold_read_latency = config.cold_read_latency;
+  options.predictor.miners = MinerCandidates(miners);
+  options.predictor.mean_block_interval = config.dice.mean_block_interval;
+  return options;
+}
+
 Workload::Workload(const ScenarioConfig& config) : config_(config) {}
 
 size_t Workload::PickContract(size_t count, Rng* rng) const {

@@ -61,6 +61,12 @@ ScenarioConfig ScenarioByName(const std::string& name);
 std::vector<std::string> AllScenarioNames();
 bool IsScenarioName(const std::string& name);
 
+// The node options every scenario run starts from: `strategy` over the
+// scenario's store latency, with the predictor told the DiCE miners and the
+// mean block interval. Callers set anything else on the result.
+NodeOptions ScenarioNodeOptions(const ScenarioConfig& config, ExecStrategy strategy,
+                                const std::vector<MinerModel>& miners);
+
 class Workload {
  public:
   explicit Workload(const ScenarioConfig& config);

@@ -1,12 +1,11 @@
 // Tests of the chain manager subsystem: multi-depth rollbacks restore exact
 // roots/nonces and re-inject orphans exactly once, the undo window is
-// bounded, fork choice follows height/first-seen, and (with the opt-in knobs)
-// speculation survives a reorg instead of being rebuilt from scratch.
+// bounded, fork choice follows height/first-seen, and the speculation cache
+// is keyed by the head root and bounded by the pool.
 #include "src/forerunner/chain_manager.h"
 
 #include <gtest/gtest.h>
 
-#include "src/contracts/contracts.h"
 #include "src/crypto/keccak.h"
 #include "src/forerunner/node.h"
 #include "src/replay/recording.h"
@@ -93,6 +92,36 @@ TEST_F(ChainRollbackTest, MultiDepthRollbackRestoresRootsNoncesAndOrphans) {
   }
   EXPECT_EQ(node->pool_size(), 0u);
   EXPECT_EQ(node->head_root(), roots[4]);
+
+  // A block that advances one sender twice and a first-time sender once (the
+  // newcomer is funded by the block's first transaction). Its rollback must
+  // put the repeat sender back on its pre-block nonce and forget the
+  // newcomer entirely.
+  const Address newcomer = Address::FromId(3);
+  Block block = MakeBlock(6);
+  block.txs[0].to = newcomer;
+  block.txs[0].value = U256::Exp(U256(10), U256(18));
+  Transaction second = MakeBlock(7).txs[0];
+  Transaction first_time = MakeBlock(8).txs[0];
+  first_time.sender = newcomer;
+  first_time.nonce = 0;
+  block.txs.push_back(second);
+  block.txs.push_back(first_time);
+  for (const Transaction& tx : block.txs) {
+    node->OnHeard(tx, 110.0);
+  }
+  BlockExecReport six = node->ExecuteBlock(block, 120.0);
+  for (const TxExecRecord& record : six.txs) {
+    EXPECT_EQ(record.status, ExecStatus::kSuccess) << "tx " << record.tx_id;
+  }
+  EXPECT_EQ(node->chain().chain_nonces().at(sender_), 7u);
+  EXPECT_EQ(node->chain().chain_nonces().at(newcomer), 1u);
+  node->RollbackHead();
+  EXPECT_EQ(node->head_root(), roots[4]);
+  EXPECT_EQ(node->chain().chain_nonces().at(sender_), 5u);
+  EXPECT_FALSE(node->chain().chain_nonces().contains(newcomer));
+  EXPECT_EQ(node->pool_size(), 3u);
+  EXPECT_EQ(node->ExecuteBlock(block, 130.0).state_root, six.state_root);
 }
 
 TEST_F(ChainRollbackTest, ReorgWindowIsConfigurable) {
@@ -154,126 +183,82 @@ TEST(ChainManagerTest, ForkChoiceAdoptsByHeightThenFirstSeen) {
   EXPECT_TRUE(ChainManager::ShouldAdopt(current, {10, 50.0}));    // tie: earlier wins
 }
 
-TEST(ChainManagerTest, SpeculationRetainedAcrossReorg) {
-  NodeOptions options;
-  options.store.cold_read_latency = std::chrono::nanoseconds(0);
-  options.spec.retain_across_reorg = true;
-  options.spec.roots_per_tx = 4;
-  Address sender = Address::FromId(1);
-  Address registry = Address::FromId(90);
-  auto genesis = [&](StateDb* state) {
-    state->AddBalance(sender, U256::Exp(U256(10), U256(21)));
-    state->SetCode(registry, Registry::Code());
-  };
-  Node node(options, genesis);
-
-  Transaction tx;
-  tx.id = 1;
-  tx.sender = sender;
-  tx.to = registry;
-  tx.data = EncodeCall(Registry::kSet, {U256(1), U256(11)});
-  tx.gas_limit = 150'000;
-  tx.gas_price = U256(1'000'000'000);
-  tx.nonce = 0;
-
-  node.OnHeard(tx, 1.0);
-  node.RunSpeculationPipeline(1.5);
-  ASSERT_EQ(node.futures_speculated(), 2u);  // two header variants
-
-  Block block;
-  block.header.number = 1;
-  block.header.timestamp = 1'700'000'013;
-  block.header.coinbase = Address::FromId(0xC0FFEE);
-  block.txs = {tx};
-  BlockExecReport first = node.ExecuteBlock(block, 13.0);
-  EXPECT_TRUE(first.txs[0].accelerated);
-  EXPECT_EQ(node.spec_cache_stats().retired, 1u);
-
-  // The reorg restores the parked speculation; since its retained roots still
-  // cover the restored head, the next pipeline round skips re-speculation.
-  node.RollbackHead();
-  SpecCacheStats stats = node.spec_cache_stats();
-  EXPECT_EQ(stats.restored, 1u);
-  node.RunSpeculationPipeline(14.0);
-  stats = node.spec_cache_stats();
-  EXPECT_GE(stats.root_skips, 1u);
-  EXPECT_GE(stats.reorg_hits, 1u);
-  EXPECT_EQ(node.futures_speculated(), 2u);  // no re-speculation happened
-
-  // The restored speculation accelerates the replay to the identical root.
-  BlockExecReport second = node.ExecuteBlock(block, 20.0);
-  EXPECT_TRUE(second.txs[0].speculated);
-  EXPECT_TRUE(second.txs[0].accelerated);
-  EXPECT_EQ(second.state_root, first.state_root);
-}
-
-TEST(ChainManagerTest, SpecCacheEvictsLeastRecentlyUsed) {
-  NodeOptions options;
-  options.store.cold_read_latency = std::chrono::nanoseconds(0);
-  options.spec.max_entries = 1;
-  Address alice = Address::FromId(1);
-  Address bob = Address::FromId(2);
-  auto genesis = [&](StateDb* state) {
-    state->AddBalance(alice, U256::Exp(U256(10), U256(21)));
-    state->AddBalance(bob, U256::Exp(U256(10), U256(21)));
-  };
-  Node node(options, genesis);
-
-  for (uint64_t i = 0; i < 2; ++i) {
-    Transaction tx;
-    tx.id = i + 1;
-    tx.sender = i == 0 ? alice : bob;
-    tx.to = Address::FromId(50);
-    tx.value = U256(5);
-    tx.gas_limit = 30'000;
-    tx.gas_price = U256(1'000'000'000);
-    node.OnHeard(tx, 1.0);
-  }
-  node.RunSpeculationPipeline(1.5);
-  SpecCacheStats stats = node.spec_cache_stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.max_entries_seen, 2u);  // both merged before the LRU trim
-}
-
-TEST(ChainManagerTest, CoveredSkipRefreshesSpecCacheLru) {
-  SpecManagerOptions options;
-  options.max_entries = 2;
-  SpeculationManager mgr(options);
+TEST(ChainManagerTest, CoveredSkipBuildsNoJobUntilTheHeadMoves) {
+  SpeculationManager mgr;
   const Hash head = Keccak256Word(U256(42));
+  const Hash next_head = Keccak256Word(U256(43));
+  std::vector<TxPrediction> predictions(1);
+  predictions[0].tx.id = 1;
 
-  auto predict = [](uint64_t id) {
-    TxPrediction p;
-    p.tx.id = id;
-    return p;
-  };
-  auto merge = [&](uint64_t id) {
-    std::vector<TxPrediction> predictions = {predict(id)};
-    std::vector<SpecJob> jobs = mgr.BuildJobs(predictions, head, 2);
-    ASSERT_EQ(jobs.size(), 1u);
-    std::vector<SpecJobResult> results(1);
-    results[0].spec.tx_id = id;
-    mgr.MergeResults(&results, /*sim_time=*/0.0, /*time_scale=*/0.0, {});
-  };
+  std::vector<SpecJob> jobs = mgr.BuildJobs(predictions, head, 2);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].root, head);
+  std::vector<SpecJobResult> results(1);
+  results[0].spec.tx_id = 1;
+  mgr.MergeResults(&results, /*sim_time=*/0.0, /*time_scale=*/0.0, {});
 
-  merge(1);  // the hot entry, merged first (oldest merge-time stamp)
-  merge(2);
-  // Tx 1 stays pending and covered: the head never moves, so every further
-  // pipeline round skips it. A covered skip is a use — it must refresh the
-  // entry's LRU, or the cache's hottest entry carries its original stamp.
+  // The head never moves: every further round skips the transaction.
   for (int round = 0; round < 3; ++round) {
-    std::vector<TxPrediction> predictions = {predict(1)};
     EXPECT_TRUE(mgr.BuildJobs(predictions, head, 2).empty());
   }
   EXPECT_EQ(mgr.stats().root_skips, 3u);
+  EXPECT_NE(mgr.Lookup(1, 1.0), nullptr);
 
-  // A third entry forces an eviction under the 2-entry cap. Pre-fix the
-  // skips never touched tx 1's stamp, so the repeatedly-covered (hottest)
-  // entry was evicted ahead of the never-reused tx 2.
-  merge(3);
-  EXPECT_EQ(mgr.stats().evictions, 1u);
-  EXPECT_NE(mgr.Lookup(1, 1.0), nullptr);  // survived: skipped = used
-  EXPECT_EQ(mgr.Lookup(2, 1.0), nullptr);  // the true LRU victim
+  // A head move re-speculates it against the new root.
+  jobs = mgr.BuildJobs(predictions, next_head, 2);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].root, next_head);
+  EXPECT_EQ(mgr.stats().root_skips, 3u);
+  EXPECT_EQ(mgr.stats().entries, 1u);
+}
+
+TEST(ChainManagerTest, PoolCapacityBoundsTheSpecCache) {
+  // The pool holds 3 transactions. Every round hears two new senders, each
+  // dearer than the last (so the cheapest residents are evicted), and
+  // doubles the price of the previous round's dearest transaction (a
+  // replacement); the cache must shed both kinds of loser.
+  constexpr size_t kCapacity = 3;
+  constexpr uint64_t kRounds = 6;
+  NodeOptions options;
+  options.store.cold_read_latency = std::chrono::nanoseconds(0);
+  options.spec_workers = 1;
+  options.mempool.capacity = kCapacity;
+  auto genesis = [&](StateDb* state) {
+    for (uint64_t s = 1; s <= 2 * kRounds; ++s) {
+      state->AddBalance(Address::FromId(s), U256::Exp(U256(10), U256(21)));
+    }
+  };
+  Node node(options, genesis);
+
+  uint64_t next_id = 1;
+  // Sender s first bids 10*s gwei; a replacement bids `bump` times that.
+  auto transfer = [&](uint64_t sender, uint64_t bump) {
+    Transaction tx;
+    tx.id = next_id++;
+    tx.sender = Address::FromId(sender);
+    tx.to = Address::FromId(50);
+    tx.value = U256(5);
+    tx.gas_limit = 30'000;
+    tx.gas_price = U256(bump * sender * 10'000'000'000);
+    return tx;
+  };
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    double now = 1.0 + static_cast<double>(round);
+    if (round > 0) {
+      node.OnHeard(transfer(2 * round, 2), now);
+    }
+    node.OnHeard(transfer(2 * round + 1, 1), now);
+    node.OnHeard(transfer(2 * round + 2, 1), now);
+    node.RunSpeculationPipeline(now + 0.5);
+    SpecCacheStats cache = node.spec_cache_stats();
+    EXPECT_LE(cache.entries, node.pool_size()) << "round " << round;
+    EXPECT_GT(cache.entries, 0u) << "round " << round;
+  }
+  EXPECT_EQ(node.pool_size(), kCapacity);
+  EXPECT_GT(node.mempool_stats().evictions, 0u);
+  EXPECT_EQ(node.mempool_stats().replacements, kRounds - 1);
+  EXPECT_GT(node.spec_cache_stats().dropped, 0u);
+  EXPECT_LE(node.spec_cache_stats().max_entries_seen, kCapacity);
 }
 
 }  // namespace

@@ -23,16 +23,6 @@ ScenarioConfig SmallScenario(uint64_t seed = 0x51) {
   return cfg;
 }
 
-NodeOptions MakeNodeOptions(const ScenarioConfig& cfg, ExecStrategy strategy,
-                            const std::vector<MinerModel>& miners) {
-  NodeOptions options;
-  options.strategy = strategy;
-  options.store.cold_read_latency = cfg.cold_read_latency;
-  options.predictor.miners = MinerCandidates(miners);
-  options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-  return options;
-}
-
 TEST(WorkloadTest, TrafficIsDeterministicAndNonceOrdered) {
   ScenarioConfig cfg = SmallScenario();
   Workload w1(cfg);
@@ -97,8 +87,8 @@ TEST(DiceIntegrationTest, BaselineAndForerunnerAgreeOnEveryRoot) {
   DiceSimulator sim(cfg.dice, traffic);
 
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
-  Node forerunner(MakeNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node forerunner(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
 
   SimReport report = sim.Run({&baseline, &forerunner}, cfg.name);
   EXPECT_TRUE(report.roots_consistent);
@@ -135,10 +125,10 @@ TEST(DiceIntegrationTest, AllFourStrategiesAgreeOnRoots) {
   DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
 
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
-  Node perfect(MakeNodeOptions(cfg, ExecStrategy::kPerfectMatch, sim.miners()), genesis);
-  Node multi(MakeNodeOptions(cfg, ExecStrategy::kPerfectMulti, sim.miners()), genesis);
-  Node forerunner(MakeNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node perfect(ScenarioNodeOptions(cfg, ExecStrategy::kPerfectMatch, sim.miners()), genesis);
+  Node multi(ScenarioNodeOptions(cfg, ExecStrategy::kPerfectMulti, sim.miners()), genesis);
+  Node forerunner(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
 
   SimReport report =
       sim.Run({&baseline, &perfect, &multi, &forerunner}, cfg.name);
@@ -165,8 +155,8 @@ TEST(DiceIntegrationTest, TemporaryForksExecuteAndReorgConsistently) {
   Workload workload(cfg);
   DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
-  Node forerunner(MakeNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node forerunner(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
   SimReport report = sim.Run({&baseline, &forerunner}, cfg.name);
   EXPECT_TRUE(report.roots_consistent);  // includes the fork-block executions
   EXPECT_GT(report.fork_blocks, 0u);
@@ -193,8 +183,8 @@ TEST(DiceIntegrationTest, DeepForkChurnReorgsConsistently) {
   Workload workload(cfg);
   DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
-  Node forerunner(MakeNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node forerunner(ScenarioNodeOptions(cfg, ExecStrategy::kForerunner, sim.miners()), genesis);
   SimReport report = sim.Run({&baseline, &forerunner}, cfg.name);
   EXPECT_TRUE(report.roots_consistent);  // includes every fork-branch block
   EXPECT_GT(report.fork_blocks, 0u);
@@ -211,7 +201,7 @@ TEST(DiceIntegrationTest, DeepForkChurnReorgsConsistently) {
 
   // No-fork control: replaying just the winning chain on a fresh baseline
   // node reproduces the exact same final root, so the churn left no residue.
-  Node control(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node control(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
   for (const Block& block : report.chain) {
     control.ExecuteBlock(block, 1e9);
   }
@@ -230,7 +220,7 @@ TEST(DiceIntegrationTest, DepthEightChurnWithVersionedStoreMatchesTrieOnly) {
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
   // Both nodes widen the undo window (and with it their stores' retention)
   // to cover the deepest fork; every reorg is a handle swap.
-  NodeOptions base = MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners());
+  NodeOptions base = ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners());
   base.chain.max_reorg_depth = 8;
   NodeOptions forerunner = base;
   forerunner.strategy = ExecStrategy::kForerunner;
@@ -265,7 +255,7 @@ TEST(DiceIntegrationTest, SimulationIsDeterministic) {
     Workload workload(cfg);
     DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
     auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-    Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+    Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
     SimReport report = sim.Run({&baseline}, cfg.name);
     return std::make_pair(report, baseline.head_root());
   };
@@ -293,7 +283,7 @@ TEST(DiceIntegrationTest, MinersPackNonceChainsInOrder) {
   Workload workload(cfg);
   DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
   SimReport report = sim.Run({&baseline}, cfg.name);
   // Across the whole chain, each sender's nonces appear in increasing order,
   // and no transaction failed with a nonce error.
@@ -316,7 +306,7 @@ TEST(DiceIntegrationTest, HeardDelaysPopulated) {
   Workload workload(cfg);
   DiceSimulator sim(cfg.dice, workload.GenerateTraffic());
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-  Node baseline(MakeNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
+  Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
   SimReport report = sim.Run({&baseline}, cfg.name);
   EXPECT_EQ(report.heard_delays.size(), report.heard_count);
   for (double d : report.heard_delays) {

@@ -23,16 +23,6 @@ ScenarioConfig SmallScenario() {
   return cfg;
 }
 
-NodeOptions MakeOptions(const ScenarioConfig& cfg, ExecStrategy strategy,
-                        const std::vector<MinerModel>& miners) {
-  NodeOptions options;
-  options.strategy = strategy;
-  options.store.cold_read_latency = cfg.cold_read_latency;
-  options.predictor.miners = MinerCandidates(miners);
-  options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-  return options;
-}
-
 class ReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,7 +32,7 @@ class ReplayTest : public ::testing::Test {
     sim_ = std::make_unique<DiceSimulator>(cfg_.dice, traffic_);
     genesis_ = [w = workload_.get()](StateDb* state) { w->InitGenesis(state); };
     // Live run with a baseline node.
-    Node live(MakeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
+    Node live(ScenarioNodeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
     live_report_ = sim_->Run({&live}, cfg_.name);
     recording_ = CaptureRecording(live_report_, traffic_);
   }
@@ -116,8 +106,8 @@ TEST_F(ReplayTest, DeserializeRejectsCorruptInput) {
 
 TEST_F(ReplayTest, ReplayReproducesTheLiveRun) {
   // Replay against fresh baseline + Forerunner nodes.
-  Node baseline(MakeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
-  Node forerunner(MakeOptions(cfg_, ExecStrategy::kForerunner, sim_->miners()), genesis_);
+  Node baseline(ScenarioNodeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
+  Node forerunner(ScenarioNodeOptions(cfg_, ExecStrategy::kForerunner, sim_->miners()), genesis_);
   SimReport replayed = ReplayRecording(recording_, {&baseline, &forerunner});
   EXPECT_TRUE(replayed.roots_consistent);
   EXPECT_EQ(replayed.blocks, live_report_.blocks);
@@ -137,6 +127,25 @@ TEST_F(ReplayTest, ReplayReproducesTheLiveRun) {
     accelerated += r.accelerated ? 1 : 0;
   }
   EXPECT_GT(static_cast<double>(accelerated) / static_cast<double>(replayed.txs_packed), 0.5);
+}
+
+TEST_F(ReplayTest, ReplayedReportCarriesEveryNodeStat) {
+  // A replay fills each node's stats the way a live DiCE run does.
+  NodeOptions options = ScenarioNodeOptions(cfg_, ExecStrategy::kForerunner, sim_->miners());
+  options.spec_workers = 2;
+  Node baseline(ScenarioNodeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
+  Node forerunner(options, genesis_);
+  SimReport replayed = ReplayRecording(recording_, {&baseline, &forerunner});
+  ASSERT_EQ(replayed.nodes.size(), 2u);
+  EXPECT_EQ(replayed.nodes[0].strategy, ExecStrategy::kBaseline);
+  const NodeRunStats& stats = replayed.nodes[1];
+  EXPECT_EQ(stats.strategy, ExecStrategy::kForerunner);
+  EXPECT_EQ(stats.spec_workers, 2u);
+  EXPECT_EQ(stats.spec_worker_stats.size(), 2u);
+  EXPECT_GT(stats.speculation_wall_seconds, 0.0);
+  EXPECT_GT(stats.chain_state.versioned_hits, 0u);
+  EXPECT_GT(stats.versioned.commits, 0u);
+  EXPECT_TRUE(stats.state_view_active);
 }
 
 }  // namespace

@@ -82,11 +82,7 @@ RunOutcome RunWithWorkers(size_t workers, uint64_t seed = 0x5bec) {
   auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
 
   auto make_options = [&](ExecStrategy strategy) {
-    NodeOptions options;
-    options.strategy = strategy;
-    options.store.cold_read_latency = cfg.cold_read_latency;
-    options.predictor.miners = MinerCandidates(sim.miners());
-    options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
+    NodeOptions options = ScenarioNodeOptions(cfg, strategy, sim.miners());
     options.spec_workers = workers;
     // Decouple AP availability from measured wall time so the comparison
     // across worker counts is exact (threading changes timings, never values).

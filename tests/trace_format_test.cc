@@ -63,11 +63,7 @@ TraceRun RunTracedScenario() {
     DiceSimulator sim(cfg.dice, traffic);
     auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
     auto make_options = [&](ExecStrategy strategy) {
-      NodeOptions options;
-      options.strategy = strategy;
-      options.store.cold_read_latency = cfg.cold_read_latency;
-      options.predictor.miners = MinerCandidates(sim.miners());
-      options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
+      NodeOptions options = ScenarioNodeOptions(cfg, strategy, sim.miners());
       options.spec_workers = 4;
       options.speculation_time_scale = 0;
       return options;

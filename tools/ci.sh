@@ -12,7 +12,6 @@
 #   format          check-only clang-format over the curated file list below
 #                   [skipped when clang-format is not installed]
 #   tier1           default build + full ctest suite (build/)
-#   reorg-gate      bench_reorg_stress determinism/consistency gate
 #   versioned-gate  bench_versioned_state gates: handle-acquire cost,
 #                   trie-only vs store-backed commit roots and the measured
 #                   fold wall's 4-worker speedup, zero critical-path trie reads and
@@ -166,10 +165,6 @@ stage_tier1() {
     (cd "${repo_root}/build" && ctest --output-on-failure -j"${jobs}")
 }
 
-stage_reorg_gate() {
-  "${repo_root}/build/bench/bench_reorg_stress" --json "${repo_root}/build/BENCH_reorg_stress.json"
-}
-
 stage_versioned_gate() {
   "${repo_root}/build/bench/bench_versioned_state" --json "${repo_root}/build/BENCH_versioned_state.json"
 }
@@ -249,7 +244,6 @@ else
 fi
 
 run_stage tier1 stage_tier1
-run_stage reorg-gate stage_reorg_gate
 run_stage versioned-gate stage_versioned_gate
 run_stage block-stm-gate stage_block_stm_gate
 run_stage persist-smoke stage_persist_smoke

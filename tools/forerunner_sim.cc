@@ -296,18 +296,14 @@ int main(int argc, char** argv) {
     DiceSimulator sim(cfg.dice, traffic);
     auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
     auto make_options = [&](ExecStrategy s) {
-      NodeOptions options;
-      options.strategy = s;
-      options.store.cold_read_latency = cfg.cold_read_latency;
-      options.predictor.miners = MinerCandidates(sim.miners());
-      options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
+      NodeOptions options = ScenarioNodeOptions(cfg, s, sim.miners());
       // Deep-fork runs need a matching undo window to unwind the losing branch.
       options.chain.max_reorg_depth =
           std::max(options.chain.max_reorg_depth, cfg.dice.max_fork_depth);
       return options;
     };
     NodeOptions strategy_options = make_options(strategy);
-    strategy_options.state.persist = persist_log.get();
+    strategy_options.store.persist = persist_log.get();
     if (commit_workers > 0) {
       strategy_options.chain.commit_workers = commit_workers;
     }
@@ -354,20 +350,12 @@ int main(int argc, char** argv) {
     Workload workload(cfg);
     DiceSimulator sim(cfg.dice, {});  // miner candidates for the predictor
     auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-    auto make_options = [&](ExecStrategy s) {
-      NodeOptions options;
-      options.strategy = s;
-      options.store.cold_read_latency = cfg.cold_read_latency;
-      options.predictor.miners = MinerCandidates(sim.miners());
-      options.predictor.mean_block_interval = cfg.dice.mean_block_interval;
-      return options;
-    };
-    NodeOptions strategy_options = make_options(strategy);
-    strategy_options.state.persist = persist_log.get();
+    NodeOptions strategy_options = ScenarioNodeOptions(cfg, strategy, sim.miners());
+    strategy_options.store.persist = persist_log.get();
     if (commit_workers > 0) {
       strategy_options.chain.commit_workers = commit_workers;
     }
-    Node baseline(make_options(ExecStrategy::kBaseline), genesis);
+    Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
     Node node(strategy_options, genesis);
     SimReport report = ReplayRecording(recording, {&baseline, &node});
     PrintSummary(report, 1);
