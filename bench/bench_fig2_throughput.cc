@@ -36,7 +36,7 @@ int main() {
 
   std::printf("\n-- Emulated chain (dataset L1) --\n");
   ScenarioRun run = RunScenario(ScenarioByName("L1"), {});
-  uint64_t limit = run.cfg.dice.block_gas_limit;
+  uint64_t limit = kDiceBlockGasLimit;
   // Gas used per block from the baseline node's records, grouped by block.
   size_t index = 0;
   std::printf("%-7s %12s %12s %10s\n", "block", "limit", "gas used", "txs");

@@ -1,5 +1,5 @@
-// Versioned snapshot store validation bench — the store is every node's only
-// source of committed reads, so this bench gates it end to end. Five parts:
+// Versioned snapshot store bench: the store is every node's only source of
+// committed reads, so this bench prices and gates its two hot operations.
 //
 //   acquire  — commits a chain of versions, then hammers AcquireAt to price a
 //              snapshot-handle acquisition (the cost a speculation worker pays
@@ -13,20 +13,8 @@
 //              fold spins its own cold reads) at 4 workers at least 1.5x
 //              below 1 worker's.
 //
-//   scenario — dataset L1 under 20% fork churn with a baseline and a
-//              Forerunner node. Gates: consistent roots, and on both nodes
-//              zero invalidations, zero versioned misses and zero
-//              critical-path trie reads, with versions committed and
-//              retained.
-//
-//   no-fork  — the same dataset with fork churn off: every view on both
-//              nodes opens covered (view_active, zero versioned misses) and
-//              the store never refuses a commit.
-//
-//   reorg    — a node with a depth-8 undo window against the trie-only
-//              reference replay: 9 blocks, then for each depth 1..8 roll back
-//              `depth` blocks and re-execute, requiring the reference root at
-//              every step. Prices the handle-swap rollback.
+// Store coverage, trie-only roots and reorgs of store-backed nodes on
+// scenario traffic are asserted by tests/oracle_test.cc.
 //
 // Exit code 1 if any gate fails. Emits BENCH_versioned_state.json via --json.
 #include <algorithm>
@@ -36,7 +24,6 @@
 #include "bench/bench_util.h"
 #include "src/common/clock.h"
 #include "src/common/worker_pool.h"
-#include "src/replay/recording.h"
 #include "src/state/statedb.h"
 #include "src/state/versioned_state.h"
 
@@ -191,202 +178,11 @@ CommitResult RunCommitPart() {
   return r;
 }
 
-// One node's store coverage over a scenario run.
-struct NodeCoverage {
-  uint64_t trie_reads = 0;
-  uint64_t versioned_hits = 0;
-  uint64_t versioned_misses = 0;
-  VersionedStateStats versioned;
-  bool view_active = false;
-};
-
-struct ScenarioResult {
-  bool ok = true;
-  uint64_t blocks = 0;
-  uint64_t fork_blocks = 0;
-  uint64_t txs = 0;
-  NodeCoverage nodes[2];  // baseline, Forerunner
-};
-
-// Runs L1 with `fork_rate` churn (depth <= 2) through a baseline and a
-// Forerunner node and gates both nodes' store coverage.
-ScenarioResult RunScenarioPart(const char* label, double fork_rate, double duration) {
-  ScenarioConfig cfg = ScenarioByName("L1");
-  cfg.dice.fork_rate = fork_rate;
-  cfg.dice.max_fork_depth = 2;
-  // Counted statistics, not wall-clock availability, drive the gates.
-  NodeTweak exact = [](NodeOptions* o) { o->speculation_time_scale = 0; };
-  // RunScenarioWithTweaks aborts the bench on any root mismatch.
-  ScenarioRun run = RunScenarioWithTweaks(cfg, {{ExecStrategy::kForerunner, exact}}, duration);
-
-  ScenarioResult r;
-  r.blocks = run.report.blocks;
-  r.fork_blocks = run.report.fork_blocks;
-  r.txs = run.report.txs_packed;
-  for (size_t n = 0; n < 2; ++n) {
-    const NodeRunStats& stats = run.report.nodes[n];
-    NodeCoverage& c = r.nodes[n];
-    c.trie_reads = stats.chain_state.account_trie_reads + stats.chain_state.storage_trie_reads;
-    c.versioned_hits = stats.chain_state.versioned_hits;
-    c.versioned_misses = stats.chain_state.versioned_misses;
-    c.versioned = stats.versioned;
-    c.view_active = stats.state_view_active;
-    const char* node = n == 0 ? "baseline" : "forerunner";
-    if (c.versioned.invalidations != 0) {
-      std::printf("FAIL: %s %s: %llu commits refused over an uncovered parent\n", label, node,
-                  static_cast<unsigned long long>(c.versioned.invalidations));
-      r.ok = false;
-    }
-    if (c.versioned_misses != 0 || !c.view_active) {
-      std::printf("FAIL: %s %s: %llu reads fell off store coverage (view_active %d)\n", label,
-                  node, static_cast<unsigned long long>(c.versioned_misses), c.view_active);
-      r.ok = false;
-    }
-    if (c.trie_reads != 0) {
-      std::printf("FAIL: %s %s: %llu critical-path trie reads\n", label, node,
-                  static_cast<unsigned long long>(c.trie_reads));
-      r.ok = false;
-    }
-    if (c.versioned_hits == 0 || c.versioned.commits == 0 || c.versioned.retained == 0) {
-      std::printf("FAIL: %s %s: the store served no reads or retained no versions\n", label,
-                  node);
-      r.ok = false;
-    }
-  }
-  return r;
-}
-
-struct ReorgDepthRow {
-  size_t depth = 0;
-  bool roots_match = false;
-  double rollback_seconds = 0;
-};
-
-struct ReorgResult {
-  bool ok = true;
-  std::vector<ReorgDepthRow> rows;
-  uint64_t invalidations = 0;
-};
-
-ReorgResult RunReorgPart() {
-  NodeOptions options;
-  options.store.cold_read_latency = std::chrono::nanoseconds(0);
-  options.speculation_time_scale = 0;
-  options.chain.max_reorg_depth = 8;
-  options.chain.commit_workers = 2;
-
-  Address sender = Address::FromId(1);
-  auto genesis = [&](StateDb* state) {
-    state->AddBalance(sender, U256::Exp(U256(10), U256(21)));
-  };
-  Node node(options, genesis);
-
-  auto make_block = [&](uint64_t number) {
-    Transaction tx;
-    tx.id = number;
-    tx.sender = sender;
-    tx.to = Address::FromId(2);
-    tx.value = U256(5);
-    tx.nonce = number - 1;
-    tx.gas_limit = 30'000;
-    tx.gas_price = U256(1'000'000'000);
-    Block block;
-    block.header.number = number;
-    block.header.timestamp = 1'700'000'000 + number * 13;
-    block.txs = {tx};
-    return block;
-  };
-
-  ReorgResult r;
-  std::vector<Block> blocks;
-  for (uint64_t n = 1; n <= 9; ++n) {
-    blocks.push_back(make_block(n));
-  }
-  const std::vector<Hash> roots = ReplayTrieOnly(genesis, blocks);
-  auto execute_from = [&](uint64_t from) {
-    bool match = true;
-    for (uint64_t n = from; n <= 9; ++n) {
-      match = match && node.ExecuteBlock(blocks[n - 1], 13.0 * n).state_root == roots[n - 1];
-    }
-    return match;
-  };
-  if (!execute_from(1)) {
-    std::printf("FAIL: initial 9-block build diverged from the trie-only replay\n");
-    r.ok = false;
-  }
-
-  for (size_t depth = 1; depth <= 8; ++depth) {
-    ReorgDepthRow row;
-    row.depth = depth;
-    Stopwatch timer;
-    for (size_t d = 0; d < depth; ++d) {
-      node.RollbackHead();
-    }
-    row.rollback_seconds = timer.ElapsedSeconds();
-    row.roots_match = node.head_root() == roots[8 - depth] && execute_from(9 - depth + 1);
-    if (!row.roots_match) {
-      std::printf("FAIL: depth-%zu rollback + re-execution diverged\n", depth);
-      r.ok = false;
-    }
-    r.rows.push_back(row);
-  }
-  r.invalidations = node.versioned_stats().invalidations;
-  if (r.invalidations != 0) {
-    std::printf("FAIL: %llu invalidations during the reorg sweep\n",
-                static_cast<unsigned long long>(r.invalidations));
-    r.ok = false;
-  }
-  return r;
-}
-
-JsonValue ToJson(const ScenarioResult& s) {
-  JsonValue j = JsonValue::Object();
-  j.Set("blocks", s.blocks);
-  j.Set("fork_blocks", s.fork_blocks);
-  j.Set("txs", s.txs);
-  const char* names[] = {"baseline", "forerunner"};
-  for (size_t n = 0; n < 2; ++n) {
-    const NodeCoverage& c = s.nodes[n];
-    JsonValue nj = JsonValue::Object();
-    nj.Set("trie_reads", c.trie_reads);
-    nj.Set("versioned_hits", c.versioned_hits);
-    nj.Set("versioned_misses", c.versioned_misses);
-    nj.Set("commits", c.versioned.commits);
-    nj.Set("invalidations", c.versioned.invalidations);
-    nj.Set("folds", c.versioned.folds);
-    nj.Set("fold_deferrals", c.versioned.fold_deferrals);
-    nj.Set("retained", static_cast<uint64_t>(c.versioned.retained));
-    nj.Set("view_active", c.view_active);
-    j.Set(names[n], std::move(nj));
-  }
-  j.Set("ok", s.ok);
-  return j;
-}
-
-void PrintScenario(const char* label, const ScenarioResult& s) {
-  std::printf("%s: %llu blocks (%llu on forks), %llu txs\n", label,
-              static_cast<unsigned long long>(s.blocks),
-              static_cast<unsigned long long>(s.fork_blocks),
-              static_cast<unsigned long long>(s.txs));
-  const char* names[] = {"baseline", "forerunner"};
-  for (size_t n = 0; n < 2; ++n) {
-    const NodeCoverage& c = s.nodes[n];
-    std::printf("  %-10s trie reads %llu, versioned hits %llu, misses %llu, commits %llu, "
-                "retained %zu, folds %llu, deferrals %llu\n",
-                names[n], static_cast<unsigned long long>(c.trie_reads),
-                static_cast<unsigned long long>(c.versioned_hits),
-                static_cast<unsigned long long>(c.versioned_misses),
-                static_cast<unsigned long long>(c.versioned.commits), c.versioned.retained,
-                static_cast<unsigned long long>(c.versioned.folds),
-                static_cast<unsigned long long>(c.versioned.fold_deferrals));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   BenchArgs args = ParseBenchArgs(argc, argv);
-  std::printf("=== Versioned store: acquire cost, commit folds, coverage, reorg sweep ===\n");
+  std::printf("=== Versioned store: acquire cost and commit folds ===\n");
 
   AcquireResult acquire = RunAcquirePart();
   std::printf("acquire: %llu acquisitions over %zu versions, %.1f ns each\n",
@@ -401,17 +197,6 @@ int main(int argc, char** argv) {
               commit.parallel.fold_wall_seconds * 1e3, kCommitWorkers, commit.fold_speedup,
               commit.trie_only.physical_seconds * 1e3, commit.serial.physical_seconds * 1e3,
               kCommitWorkers, commit.parallel.physical_seconds * 1e3);
-
-  ScenarioResult scenario = RunScenarioPart("scenario L1 (20% forks)", 0.2, 60);
-  PrintScenario("scenario L1 (20% forks)", scenario);
-  ScenarioResult no_fork = RunScenarioPart("no-fork L1", 0, 60);
-  PrintScenario("no-fork L1", no_fork);
-
-  ReorgResult reorg = RunReorgPart();
-  for (const ReorgDepthRow& row : reorg.rows) {
-    std::printf("reorg depth %zu: roots %s, rollback %.3fms\n", row.depth,
-                row.roots_match ? "identical" : "DIVERGED", row.rollback_seconds * 1e3);
-  }
 
   JsonValue payload = JsonValue::Object();
   JsonValue acquire_json = JsonValue::Object();
@@ -433,23 +218,7 @@ int main(int argc, char** argv) {
   commit_json.Set("physical_parallel_seconds", commit.parallel.physical_seconds);
   commit_json.Set("ok", commit.ok);
   payload.Set("commit", commit_json);
-  payload.Set("scenario", ToJson(scenario));
-  payload.Set("no_fork", ToJson(no_fork));
-  JsonValue reorg_json = JsonValue::Object();
-  JsonValue rows = JsonValue::Array();
-  for (const ReorgDepthRow& row : reorg.rows) {
-    JsonValue rj = JsonValue::Object();
-    rj.Set("depth", static_cast<uint64_t>(row.depth));
-    rj.Set("roots_match", row.roots_match);
-    rj.Set("rollback_seconds", row.rollback_seconds);
-    rows.Append(std::move(rj));
-  }
-  reorg_json.Set("rows", std::move(rows));
-  reorg_json.Set("invalidations", reorg.invalidations);
-  reorg_json.Set("ok", reorg.ok);
-  payload.Set("reorg", reorg_json);
-
-  bool ok = acquire.ok && commit.ok && scenario.ok && no_fork.ok && reorg.ok;
+  bool ok = acquire.ok && commit.ok;
   if (!FinishObservability(args, "versioned_state", payload)) {
     ok = false;
   }

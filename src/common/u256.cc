@@ -79,16 +79,16 @@ std::array<uint8_t, 32> U256::ToBigEndian() const {
 
 std::string U256::ToHex() const {
   static const char* kDigits = "0123456789abcdef";
-  std::string s;
+  std::string s = "0x";
   for (int i = BitLength() - 1; i >= 0; i -= 4) {
     int nibble_index = i / 4;
     uint64_t nibble = (limbs_[nibble_index / 16] >> (4 * (nibble_index % 16))) & 0xF;
     s.push_back(kDigits[nibble]);
   }
-  if (s.empty()) {
-    s = "0";
+  if (s.size() == 2) {
+    s.push_back('0');
   }
-  return "0x" + s;
+  return s;
 }
 
 std::string U256::ToDec() const {

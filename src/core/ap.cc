@@ -301,39 +301,55 @@ void Ap::RecountStats() {
 
 namespace {
 
+// No node: the start of a run that has no predecessor to link yet.
+constexpr uint32_t kNoNode = UINT32_MAX;
+
 // Copies the chain rooted at src[idx] into dst, preserving internal sharing.
+// A run of instruction nodes is copied in a loop, so recursion follows guards
+// and shortcuts only: a path thousands of instructions long (a compute-heavy
+// transaction) must not exhaust the stack.
 uint32_t CopyChainInto(std::vector<ApNode>* dst, const Ap& src_ap, uint32_t idx,
                        std::unordered_map<uint32_t, uint32_t>* copy_map) {
-  if (auto it = copy_map->find(idx); it != copy_map->end()) {
-    return it->second;
-  }
-  uint32_t my_idx = static_cast<uint32_t>(dst->size());
-  dst->push_back(src_ap.nodes()[idx]);
-  copy_map->emplace(idx, my_idx);
-  ApNode& node = (*dst)[my_idx];
-  switch (node.kind) {
-    case ApNode::Kind::kInstr:
-      (*dst)[my_idx].next = CopyChainInto(dst, src_ap, node.next, copy_map);
-      break;
-    case ApNode::Kind::kGuard: {
-      auto branches = node.branches;
-      for (auto& [value, target] : branches) {
-        target = CopyChainInto(dst, src_ap, target, copy_map);
+  uint32_t first = kNoNode;
+  uint32_t prev = kNoNode;
+  auto link = [&](uint32_t to) {
+    (prev == kNoNode ? first : (*dst)[prev].next) = to;
+  };
+  while (true) {
+    if (auto it = copy_map->find(idx); it != copy_map->end()) {
+      link(it->second);
+      return first;
+    }
+    uint32_t my_idx = static_cast<uint32_t>(dst->size());
+    dst->push_back(src_ap.nodes()[idx]);
+    copy_map->emplace(idx, my_idx);
+    link(my_idx);
+    ApNode& node = (*dst)[my_idx];
+    switch (node.kind) {
+      case ApNode::Kind::kInstr:
+        prev = my_idx;
+        idx = node.next;
+        continue;
+      case ApNode::Kind::kGuard: {
+        auto branches = node.branches;
+        for (auto& [value, target] : branches) {
+          target = CopyChainInto(dst, src_ap, target, copy_map);
+        }
+        (*dst)[my_idx].branches = std::move(branches);
+        break;
       }
-      (*dst)[my_idx].branches = std::move(branches);
-      break;
+      case ApNode::Kind::kShortcut: {
+        uint32_t next = CopyChainInto(dst, src_ap, node.next, copy_map);
+        uint32_t skip = CopyChainInto(dst, src_ap, (*dst)[my_idx].skip_to, copy_map);
+        (*dst)[my_idx].next = next;
+        (*dst)[my_idx].skip_to = skip;
+        break;
+      }
+      case ApNode::Kind::kDone:
+        break;
     }
-    case ApNode::Kind::kShortcut: {
-      uint32_t next = CopyChainInto(dst, src_ap, node.next, copy_map);
-      uint32_t skip = CopyChainInto(dst, src_ap, (*dst)[my_idx].skip_to, copy_map);
-      (*dst)[my_idx].next = next;
-      (*dst)[my_idx].skip_to = skip;
-      break;
-    }
-    case ApNode::Kind::kDone:
-      break;
+    return first;
   }
-  return my_idx;
 }
 
 struct MergeCtx {
@@ -344,106 +360,118 @@ struct MergeCtx {
   bool failed = false;
 };
 
+// Merges the chains rooted at a[ai] and b[bi] into ctx->out. Like
+// CopyChainInto, it walks a run of instruction nodes in a loop.
 uint32_t MergeNodes(MergeCtx* ctx, const Ap& a, uint32_t ai, const Ap& b, uint32_t bi) {
-  if (ctx->failed) {
-    return 0;
-  }
-  uint64_t key = PairKey(ai, bi);
-  if (auto it = ctx->memo.find(key); it != ctx->memo.end()) {
-    return it->second;
-  }
-  const ApNode& na = a.nodes()[ai];
-  const ApNode& nb = b.nodes()[bi];
-  if (na.kind != nb.kind) {
-    ctx->failed = true;
-    return 0;
-  }
-  uint32_t my_idx = static_cast<uint32_t>(ctx->out.size());
-  ctx->out.push_back(na);
-  ctx->memo.emplace(key, my_idx);
-  switch (na.kind) {
-    case ApNode::Kind::kInstr: {
-      if (!na.instr.SameShape(nb.instr)) {
-        ctx->failed = true;
-        return 0;
-      }
-      uint32_t next = MergeNodes(ctx, a, na.next, b, nb.next);
-      ctx->out[my_idx].next = next;
-      break;
+  uint32_t first = kNoNode;
+  uint32_t prev = kNoNode;
+  auto link = [&](uint32_t to) {
+    (prev == kNoNode ? first : ctx->out[prev].next) = to;
+  };
+  while (true) {
+    if (ctx->failed) {
+      return 0;
     }
-    case ApNode::Kind::kGuard: {
-      if (!(na.guard_arg == nb.guard_arg)) {
-        ctx->failed = true;
-        return 0;
-      }
-      std::vector<std::pair<U256, uint32_t>> branches;
-      for (const auto& [va, ta] : na.branches) {
-        const uint32_t* tb = nullptr;
-        for (const auto& [vb, t] : nb.branches) {
-          if (vb == va) {
-            tb = &t;
-            break;
-          }
+    uint64_t key = PairKey(ai, bi);
+    if (auto it = ctx->memo.find(key); it != ctx->memo.end()) {
+      link(it->second);
+      return first;
+    }
+    const ApNode& na = a.nodes()[ai];
+    const ApNode& nb = b.nodes()[bi];
+    if (na.kind != nb.kind) {
+      ctx->failed = true;
+      return 0;
+    }
+    uint32_t my_idx = static_cast<uint32_t>(ctx->out.size());
+    ctx->out.push_back(na);
+    ctx->memo.emplace(key, my_idx);
+    link(my_idx);
+    switch (na.kind) {
+      case ApNode::Kind::kInstr: {
+        if (!na.instr.SameShape(nb.instr)) {
+          ctx->failed = true;
+          return 0;
         }
-        uint32_t target = (tb != nullptr) ? MergeNodes(ctx, a, ta, b, *tb)
-                                          : CopyChainInto(&ctx->out, a, ta, &ctx->copy_a);
-        branches.emplace_back(va, target);
+        prev = my_idx;
+        ai = na.next;
+        bi = nb.next;
+        continue;
       }
-      for (const auto& [vb, tb] : nb.branches) {
-        bool in_a = false;
+      case ApNode::Kind::kGuard: {
+        if (!(na.guard_arg == nb.guard_arg)) {
+          ctx->failed = true;
+          return 0;
+        }
+        std::vector<std::pair<U256, uint32_t>> branches;
         for (const auto& [va, ta] : na.branches) {
-          if (va == vb) {
-            in_a = true;
-            break;
+          const uint32_t* tb = nullptr;
+          for (const auto& [vb, t] : nb.branches) {
+            if (vb == va) {
+              tb = &t;
+              break;
+            }
+          }
+          uint32_t target = (tb != nullptr) ? MergeNodes(ctx, a, ta, b, *tb)
+                                            : CopyChainInto(&ctx->out, a, ta, &ctx->copy_a);
+          branches.emplace_back(va, target);
+        }
+        for (const auto& [vb, tb] : nb.branches) {
+          bool in_a = false;
+          for (const auto& [va, ta] : na.branches) {
+            if (va == vb) {
+              in_a = true;
+              break;
+            }
+          }
+          if (!in_a) {
+            branches.emplace_back(vb, CopyChainInto(&ctx->out, b, tb, &ctx->copy_b));
           }
         }
-        if (!in_a) {
-          branches.emplace_back(vb, CopyChainInto(&ctx->out, b, tb, &ctx->copy_b));
+        ctx->out[my_idx].branches = std::move(branches);
+        break;
+      }
+      case ApNode::Kind::kShortcut: {
+        if (na.inputs != nb.inputs) {
+          ctx->failed = true;
+          return 0;
         }
-      }
-      ctx->out[my_idx].branches = std::move(branches);
-      break;
-    }
-    case ApNode::Kind::kShortcut: {
-      if (na.inputs != nb.inputs) {
-        ctx->failed = true;
-        return 0;
-      }
-      std::vector<MemoEntry> entries = na.entries;
-      for (const MemoEntry& eb : nb.entries) {
-        auto match = std::find_if(entries.begin(), entries.end(), [&](const MemoEntry& e) {
-          return e.in_values == eb.in_values;
-        });
-        if (match == entries.end()) {
-          entries.push_back(eb);
-        } else {
-          // Same inputs => same deterministic outputs; keep the union of the
-          // recorded (possibly differently-live) output registers.
-          for (const auto& out : eb.outputs) {
-            auto has = std::find_if(match->outputs.begin(), match->outputs.end(),
-                                    [&](const auto& o) { return o.first == out.first; });
-            if (has == match->outputs.end()) {
-              match->outputs.push_back(out);
+        std::vector<MemoEntry> entries = na.entries;
+        for (const MemoEntry& eb : nb.entries) {
+          auto match = std::find_if(entries.begin(), entries.end(), [&](const MemoEntry& e) {
+            return e.in_values == eb.in_values;
+          });
+          if (match == entries.end()) {
+            entries.push_back(eb);
+          } else {
+            // Same inputs => same deterministic outputs; keep the union of the
+            // recorded (possibly differently-live) output registers.
+            for (const auto& out : eb.outputs) {
+              auto has = std::find_if(match->outputs.begin(), match->outputs.end(),
+                                      [&](const auto& o) { return o.first == out.first; });
+              if (has == match->outputs.end()) {
+                match->outputs.push_back(out);
+              }
             }
           }
         }
+        uint32_t next = MergeNodes(ctx, a, na.next, b, nb.next);
+        uint32_t skip = MergeNodes(ctx, a, na.skip_to, b, nb.skip_to);
+        ctx->out[my_idx].entries = std::move(entries);
+        ctx->out[my_idx].next = next;
+        ctx->out[my_idx].skip_to = skip;
+        break;
       }
-      uint32_t next = MergeNodes(ctx, a, na.next, b, nb.next);
-      uint32_t skip = MergeNodes(ctx, a, na.skip_to, b, nb.skip_to);
-      ctx->out[my_idx].entries = std::move(entries);
-      ctx->out[my_idx].next = next;
-      ctx->out[my_idx].skip_to = skip;
-      break;
-    }
-    case ApNode::Kind::kDone: {
-      if (!DoneEqual(na, nb)) {
-        ctx->failed = true;
-        return 0;
+      case ApNode::Kind::kDone: {
+        if (!DoneEqual(na, nb)) {
+          ctx->failed = true;
+          return 0;
+        }
+        break;
       }
-      break;
     }
+    return first;
   }
-  return my_idx;
 }
 
 }  // namespace

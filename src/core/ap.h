@@ -79,6 +79,8 @@ struct ApStats {
   size_t memo_entries = 0;
   size_t constraint_instrs = 0;  // instructions feeding guards (first path)
   size_t fast_path_instrs = 0;   // remaining instructions (first path)
+
+  bool operator==(const ApStats&) const = default;
 };
 
 class Ap {

@@ -35,6 +35,8 @@ struct SynthesisStats {
   size_t constraint_instrs_added = 0;  // non-guard instrs added purely for constraints
   size_t final_total = 0;            // instructions in the finished path
   size_t final_fast_path = 0;        // ... of which belong to the fast path
+
+  bool operator==(const SynthesisStats&) const = default;
 };
 
 struct LinearIr {

@@ -1,7 +1,6 @@
 #include "src/dice/simulator.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -9,6 +8,16 @@
 namespace frn {
 
 namespace {
+
+// Gossip delays (lognormal) the observer's mean does not set.
+constexpr double kObserverDelaySigma = 0.8;
+constexpr double kMinerDelayMu = -0.8;
+constexpr double kMinerDelaySigma = 0.6;
+// Fraction of transactions the observer never hears before inclusion (sent
+// privately to miners or propagated away from our peers).
+constexpr double kObserverUnheardRate = 0.05;
+// Margin a miner needs between hearing a tx and including it.
+constexpr double kPackingMargin = 0.5;
 
 uint64_t TieHash(uint64_t salt, uint64_t tx_id) {
   uint64_t x = salt ^ (tx_id * 0x9E3779B97F4A7C15ULL);
@@ -40,6 +49,37 @@ void FillNodeRunStats(const Node& node, NodeRunStats* stats) {
   stats->state_view_active = node.view_active();
 }
 
+void ExecuteOnEveryNode(const std::vector<Node*>& nodes, const Block& block, double now,
+                        bool on_fork, SimReport* report) {
+  Hash first_root;
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    BlockExecReport exec = nodes[n]->ExecuteBlock(block, now);
+    if (n == 0) {
+      first_root = exec.state_root;
+    } else if (!(exec.state_root == first_root)) {
+      report->roots_consistent = false;
+    }
+    NodeRunStats& stats = report->nodes[n];
+    for (TxExecRecord& r : exec.txs) {
+      r.on_fork = on_fork;
+      stats.records.push_back(r);
+    }
+    if (!on_fork) {
+      stats.total_exec_seconds += exec.total_seconds;
+    }
+  }
+  if (on_fork) {
+    return;
+  }
+  if (!nodes.empty()) {
+    report->roots.push_back(first_root);
+  }
+  report->chain.push_back(block);
+  report->block_times.push_back(now);
+  ++report->blocks;
+  report->txs_packed += block.txs.size();
+}
+
 std::vector<std::pair<Address, double>> MinerCandidates(
     const std::vector<MinerModel>& miners) {
   std::vector<std::pair<Address, double>> out;
@@ -54,14 +94,18 @@ std::vector<std::pair<Address, double>> MinerCandidates(
 
 DiceSimulator::DiceSimulator(const DiceOptions& options, std::vector<TimedTx> traffic)
     : options_(options), traffic_(std::move(traffic)), rng_(options.seed) {
+  traffic_index_.reserve(traffic_.size());
+  for (size_t i = 0; i < traffic_.size(); ++i) {
+    traffic_index_.emplace(traffic_[i].tx.id, i);
+  }
   // Miner population with a skewed hash-power distribution (no miner
   // dominates, mirroring §4.2's probabilistic miner selection).
-  for (size_t i = 0; i < options_.n_miners; ++i) {
+  for (size_t i = 0; i < kDiceMiners; ++i) {
     MinerModel m;
     m.coinbase = Address::FromId(0xA11CE000 + i);
     m.weight = 1.0 / static_cast<double>(1 + i);  // Zipf-ish
-    m.delay_mu = options_.miner_delay_mu;
-    m.delay_sigma = options_.miner_delay_sigma;
+    m.delay_mu = kMinerDelayMu;
+    m.delay_sigma = kMinerDelaySigma;
     m.timestamp_skew = static_cast<int>(rng_.NextBounded(7)) - 3;
     m.tie_salt = rng_.NextU64();
     miners_.push_back(m);
@@ -73,54 +117,25 @@ std::vector<Transaction> DiceSimulator::PackBlock(
     const std::vector<bool>& included,
     const std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces) {
   // Candidate set: heard with enough margin and not yet on the chain.
-  std::vector<size_t> candidates;
+  std::vector<const Transaction*> candidates;
   for (size_t i = 0; i < traffic_.size(); ++i) {
-    if (!included[i] && miner_heard[i] + options_.packing_margin <= now) {
-      candidates.push_back(i);
+    if (!included[i] && miner_heard[i] + kPackingMargin <= now) {
+      candidates.push_back(&traffic_[i].tx);
     }
   }
   // Price-priority order with per-miner random tie breaking (paper §4.2:
   // same-price transactions are ordered randomly by the official client).
-  std::sort(candidates.begin(), candidates.end(), [&](size_t a, size_t b) {
-    const Transaction& ta = traffic_[a].tx;
-    const Transaction& tb = traffic_[b].tx;
-    if (!(ta.gas_price == tb.gas_price)) {
-      return tb.gas_price < ta.gas_price;
-    }
-    return TieHash(miner.tie_salt, ta.id) < TieHash(miner.tie_salt, tb.id);
-  });
+  std::sort(candidates.begin(), candidates.end(),
+            [&](const Transaction* ta, const Transaction* tb) {
+              if (!(ta->gas_price == tb->gas_price)) {
+                return tb->gas_price < ta->gas_price;
+              }
+              return TieHash(miner.tie_salt, ta->id) < TieHash(miner.tie_salt, tb->id);
+            });
   // Fill the block respecting per-sender nonce chains.
-  std::unordered_map<Address, uint64_t, AddressHasher> next_nonce = chain_nonces;
   std::vector<Transaction> packed;
-  uint64_t gas_used = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t idx : candidates) {
-      const Transaction& tx = traffic_[idx].tx;
-      if (gas_used + tx.gas_limit > options_.block_gas_limit) {
-        continue;
-      }
-      bool already = false;
-      for (const Transaction& p : packed) {
-        if (p.id == tx.id) {
-          already = true;
-          break;
-        }
-      }
-      if (already) {
-        continue;
-      }
-      auto it = next_nonce.find(tx.sender);
-      uint64_t expected = (it != next_nonce.end()) ? it->second : 0;
-      if (tx.nonce != expected) {
-        continue;
-      }
-      packed.push_back(tx);
-      next_nonce[tx.sender] = expected + 1;
-      gas_used += tx.gas_limit;
-      progress = true;
-    }
+  for (size_t pos : PackNonceChains(candidates, chain_nonces, kDiceBlockGasLimit, SIZE_MAX)) {
+    packed.push_back(*candidates[pos]);
   }
   return packed;
 }
@@ -151,12 +166,12 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
     // Only modest transactions go unheard (private relays and thin gossip
     // paths); heavyweight transactions propagate widely, which is why the
     // paper's time-weighted heard rate exceeds the unweighted one.
-    if (traffic_[i].tx.gas_limit < 400'000 && rng_.Chance(options_.observer_unheard_rate)) {
+    if (traffic_[i].tx.gas_limit < 400'000 && rng_.Chance(kObserverUnheardRate)) {
       observer_heard[i] = 1e18;  // effectively never heard
     } else {
       observer_heard[i] =
           traffic_[i].sent_at +
-          rng_.NextLogNormal(options_.observer_delay_mu, options_.observer_delay_sigma);
+          rng_.NextLogNormal(options_.observer_delay_mu, kObserverDelaySigma);
     }
     for (size_t m = 0; m < miners_.size(); ++m) {
       miner_heard[m][i] =
@@ -194,7 +209,7 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
   double next_block_time = rng_.NextExponential(options_.mean_block_interval);
   double last_pipeline = 0;
   uint64_t block_number = 0;
-  uint64_t last_block_ts = options_.base_timestamp;
+  uint64_t last_block_ts = kDiceBaseTimestamp;
 
   auto deliver_heard_until = [&](double t) {
     while (next_heard < heard_order.size() && observer_heard[heard_order[next_heard]] <= t) {
@@ -208,7 +223,7 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
 
   while (now < horizon) {
     // Run the off-critical-path pipeline periodically between blocks.
-    double next_pipeline = last_pipeline + options_.pipeline_period;
+    double next_pipeline = last_pipeline + kDicePipelinePeriod;
     double next_event = std::min(next_block_time, next_pipeline);
     if (next_event > horizon) {
       break;
@@ -272,35 +287,18 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
         Block fork_block;
         fork_block.header.number = block_number + 1 + d;
         fork_block.header.timestamp =
-            std::max(options_.base_timestamp + static_cast<uint64_t>(now) +
+            std::max(kDiceBaseTimestamp + static_cast<uint64_t>(now) +
                          static_cast<uint64_t>(rival_miner.timestamp_skew + 3) - 3,
                      rival_ts + 1);
         rival_ts = fork_block.header.timestamp;
         fork_block.header.coinbase = rival_miner.coinbase;
-        fork_block.header.gas_limit = options_.block_gas_limit;
+        fork_block.header.gas_limit = kDiceBlockGasLimit;
         fork_block.txs = std::move(rival_txs);
         for (const Transaction& tx : fork_block.txs) {
           rival_nonces[tx.sender] = tx.nonce + 1;
-          for (size_t i = 0; i < traffic_.size(); ++i) {
-            if (traffic_[i].tx.id == tx.id) {
-              rival_included[i] = true;
-              break;
-            }
-          }
+          rival_included[traffic_index_.at(tx.id)] = true;
         }
-        Hash first_root;
-        for (size_t n = 0; n < nodes.size(); ++n) {
-          BlockExecReport exec = nodes[n]->ExecuteBlock(fork_block, now);
-          if (n == 0) {
-            first_root = exec.state_root;
-          } else if (!(exec.state_root == first_root)) {
-            report.roots_consistent = false;
-          }
-          for (TxExecRecord& r : exec.txs) {
-            r.on_fork = true;
-            report.nodes[n].records.push_back(r);
-          }
-        }
+        ExecuteOnEveryNode(nodes, fork_block, now, /*on_fork=*/true, &report);
         ++report.fork_blocks;
         ++executed_depth;
       }
@@ -319,8 +317,7 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
           }
         }
         double winner_time = now + options_.fork_resolution_delay;
-        for (double t = now + options_.pipeline_period; t < winner_time;
-             t += options_.pipeline_period) {
+        for (double t = now + kDicePipelinePeriod; t < winner_time; t += kDicePipelinePeriod) {
           deliver_heard_until(t);
           for (Node* node : nodes) {
             node->RunSpeculationPipeline(t);
@@ -335,26 +332,22 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
     Block block;
     ++block_number;
     block.header.number = block_number;
-    uint64_t ts = options_.base_timestamp + static_cast<uint64_t>(now) +
+    uint64_t ts = kDiceBaseTimestamp + static_cast<uint64_t>(now) +
                   static_cast<uint64_t>(miner.timestamp_skew + 3) - 3;
     block.header.timestamp = std::max(ts, last_block_ts + 1);
     last_block_ts = block.header.timestamp;
     block.header.coinbase = miner.coinbase;
-    block.header.gas_limit = options_.block_gas_limit;
-    block.txs = txs;
+    block.header.gas_limit = kDiceBlockGasLimit;
+    block.txs = std::move(txs);
 
-    for (const Transaction& tx : txs) {
+    for (const Transaction& tx : block.txs) {
       chain_nonces[tx.sender] = tx.nonce + 1;
-      for (size_t i = 0; i < traffic_.size(); ++i) {
-        if (traffic_[i].tx.id == tx.id) {
-          included[i] = true;
-          if (observer_heard[i] <= now) {
-            ++report.heard_count;
-            report.heard_delays.push_back(now - observer_heard[i]);
-            heard_delay->Record(now - observer_heard[i]);
-          }
-          break;
-        }
+      const size_t i = traffic_index_.at(tx.id);
+      included[i] = true;
+      if (observer_heard[i] <= now) {
+        ++report.heard_count;
+        report.heard_delays.push_back(now - observer_heard[i]);
+        heard_delay->Record(now - observer_heard[i]);
       }
     }
 
@@ -362,27 +355,11 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
     {
       TraceSpan round_span(collector, "dice", "dice.round", round_wall);
       round_span.AddArg(TraceArg::U64("block", block_number));
-      round_span.AddArg(TraceArg::U64("txs", txs.size()));
+      round_span.AddArg(TraceArg::U64("txs", block.txs.size()));
       round_span.AddArg(TraceArg::F64("sim_time", now));
-      Hash first_root;
-      for (size_t n = 0; n < nodes.size(); ++n) {
-        BlockExecReport exec = nodes[n]->ExecuteBlock(block, now);
-        if (n == 0) {
-          first_root = exec.state_root;
-        } else if (!(exec.state_root == first_root)) {
-          report.roots_consistent = false;
-        }
-        report.nodes[n].total_exec_seconds += exec.total_seconds;
-        for (TxExecRecord& r : exec.txs) {
-          report.nodes[n].records.push_back(r);
-        }
-      }
+      ExecuteOnEveryNode(nodes, block, now, /*on_fork=*/false, &report);
       rounds->Add();
     }
-    report.chain.push_back(std::move(block));
-    report.block_times.push_back(now);
-    ++report.blocks;
-    report.txs_packed += txs.size();
 
     // Post-block speculation for the next block's predictions.
     for (Node* node : nodes) {

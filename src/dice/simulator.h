@@ -12,6 +12,7 @@
 #define SRC_DICE_SIMULATOR_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/forerunner/node.h"
@@ -32,24 +33,18 @@ struct MinerModel {
   uint64_t tie_salt = 0;         // same-price ordering randomization
 };
 
+// Fixed parameters of the emulated network.
+inline constexpr uint64_t kDiceBlockGasLimit = 10'000'000;  // mildly binding: a backlog forms
+inline constexpr uint64_t kDiceBaseTimestamp = 1'700'000'000;
+inline constexpr size_t kDiceMiners = 6;
+// Simulated seconds between off-critical-path pipeline runs, in DiCE runs
+// and in replays of their recordings.
+inline constexpr double kDicePipelinePeriod = 0.25;
+
 struct DiceOptions {
   double mean_block_interval = 13.0;
-  uint64_t block_gas_limit = 10'000'000;  // mildly binding: a backlog forms
-  uint64_t base_timestamp = 1'700'000'000;
-  size_t n_miners = 6;
-  // Observer (our nodes') gossip delay distribution.
+  // Mean of the log of the observer's (our nodes') gossip delay.
   double observer_delay_mu = -0.5;
-  double observer_delay_sigma = 0.8;
-  // Fraction of transactions the observer never hears before inclusion (sent
-  // privately to miners or propagated away from our peers).
-  double observer_unheard_rate = 0.05;
-  // Miner gossip delay distribution.
-  double miner_delay_mu = -0.8;
-  double miner_delay_sigma = 0.6;
-  // Margin a miner needs between hearing a tx and including it.
-  double packing_margin = 0.5;
-  // Off-critical-path pipeline period.
-  double pipeline_period = 0.25;
   // Probability that a consensus round produces a temporary fork: a second
   // miner's competing block is executed first, then replaced by the winner
   // (the paper observes 8.4% of mined blocks end up on temporary forks).
@@ -104,6 +99,9 @@ struct SimReport {
   std::vector<double> heard_delays;     // per heard tx: execution - heard time
   uint64_t heard_count = 0;             // txs heard before execution
   bool roots_consistent = true;         // all nodes agreed on every state root
+  // Main-chain post-state root per block, as node 0 computed it (empty when
+  // no node ran).
+  std::vector<Hash> roots;
   std::vector<NodeRunStats> nodes;
   std::vector<Block> chain;             // the produced chain (headers + txs)
   std::vector<double> block_times;      // arrival time of each chain block
@@ -135,6 +133,7 @@ class DiceSimulator {
 
   DiceOptions options_;
   std::vector<TimedTx> traffic_;
+  std::unordered_map<uint64_t, size_t> traffic_index_;  // tx id -> position in traffic_
   std::vector<MinerModel> miners_;
   Rng rng_;
 };
@@ -144,6 +143,14 @@ class DiceSimulator {
 // block by block. DiceSimulator::Run and ReplayRecording both call it once
 // per node after the last block.
 void FillNodeRunStats(const Node& node, NodeRunStats* stats);
+
+// Executes `block` on every node at simulated time `now`, appending each
+// node's records to `report` and clearing roots_consistent when a root
+// differs from node 0's. A main-chain block (`on_fork` false) also adds its
+// execution seconds, node 0's root and the block to the report.
+// DiceSimulator::Run and ReplayRecording execute every block through it.
+void ExecuteOnEveryNode(const std::vector<Node*>& nodes, const Block& block, double now,
+                        bool on_fork, SimReport* report);
 
 // Candidate miner list (coinbase, weight) for predictor configuration.
 std::vector<std::pair<Address, double>> MinerCandidates(const std::vector<MinerModel>& miners);

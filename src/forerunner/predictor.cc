@@ -4,6 +4,43 @@
 
 namespace frn {
 
+std::vector<size_t> PackNonceChains(
+    const std::vector<const Transaction*>& candidates,
+    const std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces,
+    uint64_t gas_budget, size_t max_txs) {
+  std::vector<bool> taken(candidates.size(), false);
+  // Next nonces of the senders packed so far; every other sender's comes from
+  // the chain.
+  std::unordered_map<Address, uint64_t, AddressHasher> packed_nonces;
+  std::vector<size_t> packed;
+  uint64_t gas_used = 0;
+  bool progress = true;
+  while (progress && packed.size() < max_txs) {
+    progress = false;
+    for (size_t i = 0; i < candidates.size() && packed.size() < max_txs; ++i) {
+      const Transaction& tx = *candidates[i];
+      if (taken[i] || gas_used + tx.gas_limit > gas_budget) {
+        continue;
+      }
+      uint64_t expected = 0;
+      if (auto it = packed_nonces.find(tx.sender); it != packed_nonces.end()) {
+        expected = it->second;
+      } else if (auto chain_it = chain_nonces.find(tx.sender); chain_it != chain_nonces.end()) {
+        expected = chain_it->second;
+      }
+      if (tx.nonce != expected) {
+        continue;
+      }
+      taken[i] = true;
+      packed.push_back(i);
+      packed_nonces[tx.sender] = expected + 1;
+      gas_used += tx.gas_limit;
+      progress = true;
+    }
+  }
+  return packed;
+}
+
 namespace {
 
 // Recall over precision: predict this percentage of a block's capacity.
@@ -28,38 +65,14 @@ std::vector<const PendingTx*> SimulatePacking(
     }
     return a->tx.id < b->tx.id;
   });
-  // Next nonces of the senders packed so far; every other sender's comes from
-  // the chain.
-  std::unordered_map<Address, uint64_t, AddressHasher> packed_nonces;
-  auto next_nonce = [&](const Address& sender) -> uint64_t {
-    auto it = packed_nonces.find(sender);
-    if (it != packed_nonces.end()) {
-      return it->second;
-    }
-    auto chain_it = chain_nonces.find(sender);
-    return chain_it != chain_nonces.end() ? chain_it->second : 0;
-  };
+  std::vector<const Transaction*> candidates;
+  candidates.reserve(sorted.size());
+  for (const PendingTx* p : sorted) {
+    candidates.push_back(&p->tx);
+  }
   std::vector<const PendingTx*> packed;
-  uint64_t gas_used = 0;
-  bool progress = true;
-  while (progress && packed.size() < max_txs) {
-    progress = false;
-    for (const PendingTx* p : sorted) {
-      if (packed.size() >= max_txs || gas_used + p->tx.gas_limit > gas_budget) {
-        continue;
-      }
-      if (std::find(packed.begin(), packed.end(), p) != packed.end()) {
-        continue;
-      }
-      uint64_t expected = next_nonce(p->tx.sender);
-      if (p->tx.nonce != expected) {
-        continue;
-      }
-      packed.push_back(p);
-      packed_nonces[p->tx.sender] = expected + 1;
-      gas_used += p->tx.gas_limit;
-      progress = true;
-    }
+  for (size_t i : PackNonceChains(candidates, chain_nonces, gas_budget, max_txs)) {
+    packed.push_back(sorted[i]);
   }
   return packed;
 }

@@ -25,6 +25,17 @@ struct PredictorOptions {
   double mean_block_interval = 13.0;
 };
 
+// Packs a block the way miners do (§4.2): walks `candidates` in priority
+// order, pass after pass, taking each one that fits the remaining gas budget
+// and continues its sender's nonce chain (`chain_nonces` holds each sender's
+// next on-chain nonce; absent means 0), until a pass takes nothing or
+// `max_txs` are packed. Returns the taken positions in packing order. DiCE's
+// miners and the predictor's packing simulation both pack with it.
+std::vector<size_t> PackNonceChains(
+    const std::vector<const Transaction*>& candidates,
+    const std::unordered_map<Address, uint64_t, AddressHasher>& chain_nonces,
+    uint64_t gas_budget, size_t max_txs);
+
 struct TxPrediction {
   Transaction tx;
   std::vector<FutureContext> futures;

@@ -41,6 +41,8 @@ struct SpecSummary {
   size_t shortcut_nodes = 0;
   size_t memo_entries = 0;
   size_t instr_nodes = 0;
+
+  bool operator==(const SpecSummary&) const = default;
 };
 
 class SpeculationManager {

@@ -69,6 +69,8 @@ void NumberInto(double d, std::string* out) {
 // ---- Parser ----
 
 struct Parser {
+  explicit Parser(const std::string& input) : text(input) {}
+
   const std::string& text;
   size_t pos = 0;
   std::string error;
@@ -362,7 +364,7 @@ std::string JsonValue::Dump(int indent) const {
 }
 
 bool JsonValue::Parse(const std::string& text, JsonValue* out, std::string* error) {
-  Parser p{text};
+  Parser p(text);
   if (!p.ParseValue(out)) {
     if (error != nullptr) {
       *error = p.error;

@@ -197,11 +197,15 @@ bool ReadRecording(const std::string& path, Recording* out) {
   return DeserializeRecording(buffer.str(), out);
 }
 
-SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& nodes,
-                          double pipeline_period) {
+SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& nodes) {
   SimReport report;
   report.scenario = recording.scenario;
   report.nodes.resize(nodes.size());
+  std::unordered_map<uint64_t, double> heard_at;
+  heard_at.reserve(recording.heard.size());
+  for (const Recording::HeardTx& h : recording.heard) {
+    heard_at.emplace(h.tx.id, h.heard_at);
+  }
 
   size_t next_heard = 0;
   auto deliver_heard_until = [&](double t) {
@@ -218,7 +222,8 @@ SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& 
   for (size_t b = 0; b < recording.blocks.size(); ++b) {
     double block_time = recording.block_times[b];
     // Pipeline ticks between blocks, at the recorded cadence.
-    for (double t = last_pipeline + pipeline_period; t < block_time; t += pipeline_period) {
+    for (double t = last_pipeline + kDicePipelinePeriod; t < block_time;
+         t += kDicePipelinePeriod) {
       deliver_heard_until(t);
       for (Node* node : nodes) {
         node->RunSpeculationPipeline(t);
@@ -227,33 +232,16 @@ SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& 
     deliver_heard_until(block_time);
 
     const Block& block = recording.blocks[b];
-    Hash first_root;
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      BlockExecReport exec = nodes[n]->ExecuteBlock(block, block_time);
-      if (n == 0) {
-        first_root = exec.state_root;
-      } else if (!(exec.state_root == first_root)) {
-        report.roots_consistent = false;
-      }
-      report.nodes[n].total_exec_seconds += exec.total_seconds;
-      for (TxExecRecord& r : exec.txs) {
-        report.nodes[n].records.push_back(r);
-        if (r.heard) {
-          ++report.heard_count;
-          // Heard delay: execution time minus the recorded heard time.
-          for (const auto& h : recording.heard) {
-            if (h.tx.id == r.tx_id) {
-              report.heard_delays.push_back(block_time - h.heard_at);
-              break;
-            }
-          }
-        }
+    ExecuteOnEveryNode(nodes, block, block_time, /*on_fork=*/false, &report);
+    // Heard delay, as the live run counts it: execution time minus the
+    // recorded heard time, once per transaction heard before its block.
+    for (const Transaction& tx : block.txs) {
+      auto it = heard_at.find(tx.id);
+      if (it != heard_at.end() && it->second <= block_time) {
+        ++report.heard_count;
+        report.heard_delays.push_back(block_time - it->second);
       }
     }
-    report.chain.push_back(block);
-    report.block_times.push_back(block_time);
-    ++report.blocks;
-    report.txs_packed += block.txs.size();
     for (Node* node : nodes) {
       node->RunSpeculationPipeline(block_time);
     }

@@ -43,10 +43,10 @@ std::string SerializeRecording(const Recording& recording);
 bool DeserializeRecording(const std::string& text, Recording* out);
 
 // Replays a recording against the given nodes: heard events and blocks are
-// delivered at their recorded times, with speculation pipeline ticks between
-// them, exactly like the live DiceSimulator drives its nodes.
-SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& nodes,
-                          double pipeline_period = 0.25);
+// delivered at their recorded times, with speculation pipeline ticks every
+// kDicePipelinePeriod between them, exactly like the live DiceSimulator
+// drives its nodes.
+SimReport ReplayRecording(const Recording& recording, const std::vector<Node*>& nodes);
 
 // Trie-only reference execution, the oracle the store-backed nodes are
 // checked against: per block, a store-less StateDb opened at the previous

@@ -1,8 +1,9 @@
 #include "src/workload/workload.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/contracts/extra_contracts.h"
 #include "src/crypto/keccak.h"
@@ -21,6 +22,22 @@ U256 AllowanceSlot(const Address& owner, const Address& spender) {
 // pricing advice from the same tools, making ties frequent).
 const uint64_t kGasPriceLevels[] = {10'000'000'000ULL, 20'000'000'000ULL, 50'000'000'000ULL,
                                     100'000'000'000ULL};
+
+// Contract instances of the genesis world, per family.
+constexpr size_t kTokens = 4;
+constexpr size_t kPairs = 2;
+constexpr size_t kFeeds = 2;
+constexpr size_t kRegistries = 2;
+constexpr size_t kLotteries = 1;
+constexpr size_t kOracleObservers = 12;  // distinct submitters per feed
+// Probability that a token transfer routes through the upgradeable proxy
+// (DELEGATECALL).
+constexpr double kProxyShare = 0.25;
+// Mix weights no scenario varies: contract creation, NFT, auction, multisig.
+constexpr double kWeightCreate = 0.01;
+constexpr double kWeightNft = 0.03;
+constexpr double kWeightAuction = 0.03;
+constexpr double kWeightMultisig = 0.03;
 
 }  // namespace
 
@@ -63,8 +80,9 @@ ScenarioConfig ScenarioByName(const std::string& name) {
     cfg.tx_rate = 6.0;
     cfg.contention = 0.7;
     cfg.dice.mean_block_interval = 15.0;
-  } else {
-    assert(name == "L1" && "unknown scenario");
+  } else if (name != "L1") {
+    std::fprintf(stderr, "ScenarioByName: unknown scenario '%s'\n", name.c_str());
+    std::abort();
   }
   cfg.dice.seed = cfg.seed * 0x9E3779B97F4A7C15ULL + 0xD1CE;
   return cfg;
@@ -104,7 +122,7 @@ void Workload::InitGenesis(StateDb* state) const {
   for (size_t u = 0; u < config_.n_users; ++u) {
     state->AddBalance(user(u), user_funds);
   }
-  for (size_t t = 0; t < config_.n_tokens; ++t) {
+  for (size_t t = 0; t < kTokens; ++t) {
     Address token_addr = token(t);
     state->SetCode(token_addr, Token::Code());
     U256 total;
@@ -114,10 +132,10 @@ void Workload::InitGenesis(StateDb* state) const {
     }
     state->SetStorage(token_addr, U256(2), total);
   }
-  for (size_t p = 0; p < config_.n_pairs; ++p) {
+  for (size_t p = 0; p < kPairs; ++p) {
     Address pair_addr = pair(p);
-    Address token0 = token((2 * p) % config_.n_tokens);
-    Address token1 = token((2 * p + 1) % config_.n_tokens);
+    Address token0 = token((2 * p) % kTokens);
+    Address token1 = token((2 * p + 1) % kTokens);
     AmmPair::Deploy(state, pair_addr, token0, token1);
     state->SetStorage(pair_addr, U256(2), reserve);
     state->SetStorage(pair_addr, U256(3), reserve);
@@ -129,17 +147,17 @@ void Workload::InitGenesis(StateDb* state) const {
       state->SetStorage(token1, AllowanceSlot(user(u), pair_addr), ~U256());
     }
   }
-  for (size_t f = 0; f < config_.n_feeds; ++f) {
+  for (size_t f = 0; f < kFeeds; ++f) {
     state->SetCode(feed(f), PriceFeed::Code());
     // Active round predating the traffic: the first submission of each round
     // takes the new-round branch, later ones aggregate.
     state->SetStorage(feed(f), U256(0),
-                      U256((config_.dice.base_timestamp / 300 - 2) * 300));
+                      U256((kDiceBaseTimestamp / 300 - 2) * 300));
   }
-  for (size_t r = 0; r < config_.n_registries; ++r) {
+  for (size_t r = 0; r < kRegistries; ++r) {
     state->SetCode(registry(r), Registry::Code());
   }
-  for (size_t l = 0; l < config_.n_lotteries; ++l) {
+  for (size_t l = 0; l < kLotteries; ++l) {
     state->SetCode(lottery(l), Lottery::Code());
   }
   state->SetCode(hasher(), Hasher::Code());
@@ -165,9 +183,9 @@ std::vector<TimedTx> Workload::GenerateTraffic() {
   const double weights[] = {config_.w_eth_transfer, config_.w_token_transfer,
                             config_.w_oracle,       config_.w_swap,
                             config_.w_registry,     config_.w_lottery,
-                            config_.w_create,       config_.w_hasher,
-                            config_.w_nft,          config_.w_auction,
-                            config_.w_multisig};
+                            kWeightCreate,          config_.w_hasher,
+                            kWeightNft,             kWeightAuction,
+                            kWeightMultisig};
   // State carried across generated transactions for dependent calls.
   uint64_t nft_minted = 0;
   uint64_t proposals_made = 0;
@@ -205,8 +223,8 @@ std::vector<TimedTx> Workload::GenerateTraffic() {
         break;
       }
       case 1: {  // ERC-20 transfer (a share routes through the DELEGATECALL proxy)
-        tx.to = rng.Chance(config_.proxy_share) ? token_proxy()
-                                                : token(PickContract(config_.n_tokens, &rng));
+        tx.to = rng.Chance(kProxyShare) ? token_proxy()
+                                                : token(PickContract(kTokens, &rng));
         // A large share of transfers deposit into a few hot addresses
         // (exchange deposit wallets), creating write-write contention that
         // defeats exact-context prediction but not CD-Equiv.
@@ -219,36 +237,36 @@ std::vector<TimedTx> Workload::GenerateTraffic() {
         break;
       }
       case 2: {  // oracle price submission (interdependent within a round)
-        size_t f = PickContract(config_.n_feeds, &rng);
+        size_t f = PickContract(kFeeds, &rng);
         tx.to = feed(f);
         // The round the submitter expects the tx to land in (~15s ahead).
         uint64_t expected_ts =
-            config_.dice.base_timestamp + static_cast<uint64_t>(t) + 15;
+            kDiceBaseTimestamp + static_cast<uint64_t>(t) + 15;
         U256 round((expected_ts / 300) * 300);
         U256 price(1950 + rng.NextBounded(100));
         // Observers form a small committee per feed.
-        size_t observer = rng.NextBounded(config_.oracle_observers);
-        sender_index = (f * config_.oracle_observers + observer) % config_.n_users;
+        size_t observer = rng.NextBounded(kOracleObservers);
+        sender_index = (f * kOracleObservers + observer) % config_.n_users;
         tx.data = PriceFeed::SubmitCall(round, price);
         tx.gas_limit = 200'000;
         break;
       }
       case 3: {  // AMM swap
-        tx.to = pair(PickContract(config_.n_pairs, &rng));
+        tx.to = pair(PickContract(kPairs, &rng));
         tx.data = EncodeCall(AmmPair::kSwap, {U256(100 + rng.NextBounded(50'000)),
                                               U256(rng.NextBounded(2))});
         tx.gas_limit = 700'000;
         break;
       }
       case 4: {  // registry write
-        tx.to = registry(PickContract(config_.n_registries, &rng));
+        tx.to = registry(PickContract(kRegistries, &rng));
         tx.data = EncodeCall(Registry::kSet,
                              {U256(rng.NextBounded(5'000)), U256(rng.NextU64())});
         tx.gas_limit = 120'000;
         break;
       }
       case 5: {  // lottery: mostly enters, occasional draws
-        tx.to = lottery(PickContract(config_.n_lotteries, &rng));
+        tx.to = lottery(PickContract(kLotteries, &rng));
         if (rng.Chance(0.9)) {
           tx.data = EncodeCall(Lottery::kEnter, {});
           tx.value = U256(Lottery::kTicketWei);

@@ -21,14 +21,9 @@ struct ScenarioConfig {
   double duration = 240;    // seconds of traffic
   double tx_rate = 4.0;     // average transactions per second
   size_t n_users = 400;
-  size_t n_tokens = 4;
-  size_t n_pairs = 2;
-  size_t n_feeds = 2;
-  size_t n_registries = 2;
-  size_t n_lotteries = 1;
-  size_t oracle_observers = 12;  // distinct submitters per feed
 
-  // Transaction mix weights (normalized internally).
+  // Transaction mix weights (normalized internally, together with the
+  // contract-creation, NFT, auction and multisig weights of workload.cc).
   double w_eth_transfer = 0.20;
   double w_token_transfer = 0.34;
   double w_oracle = 0.14;
@@ -36,13 +31,6 @@ struct ScenarioConfig {
   double w_registry = 0.10;
   double w_lottery = 0.04;
   double w_hasher = 0.04;
-  // Probability that a token transfer routes through the upgradeable proxy
-  // (DELEGATECALL), and rate of contract-creation transactions.
-  double proxy_share = 0.25;
-  double w_create = 0.01;
-  double w_nft = 0.03;
-  double w_auction = 0.03;
-  double w_multisig = 0.03;
 
   // Probability that a contract-directed tx goes to the hottest instance.
   double contention = 0.6;
@@ -54,9 +42,9 @@ struct ScenarioConfig {
   DiceOptions dice;
 };
 
-// Named dataset configurations mirroring Table 1's L1 and R1-R5. `name` must
-// be one of AllScenarioNames(): command-line front ends check IsScenarioName
-// first, because an unknown name only asserts in debug builds.
+// Named dataset configurations mirroring Table 1's L1 and R1-R5. An unknown
+// name prints a message and aborts, so command-line front ends check
+// IsScenarioName first.
 ScenarioConfig ScenarioByName(const std::string& name);
 std::vector<std::string> AllScenarioNames();
 bool IsScenarioName(const std::string& name);

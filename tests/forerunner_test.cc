@@ -223,8 +223,9 @@ TEST(NodeTest, HeardPoolAndSpeculationLifecycle) {
     state->SetCode(registry, Registry::Code());
   };
   Node node(options, genesis);
-  Node baseline(NodeOptions{.strategy = ExecStrategy::kBaseline, .store = options.store},
-                genesis);
+  NodeOptions baseline_options = options;
+  baseline_options.strategy = ExecStrategy::kBaseline;
+  Node baseline(baseline_options, genesis);
   ASSERT_EQ(node.head_root(), baseline.head_root());
 
   Transaction tx;

@@ -38,8 +38,8 @@ struct PoolWorld {
     root = genesis.Commit();
     traffic = workload.GenerateTraffic();
     header.number = 1;
-    header.timestamp = cfg.dice.base_timestamp + 13;
-    header.gas_limit = cfg.dice.block_gas_limit;
+    header.timestamp = kDiceBaseTimestamp + 13;
+    header.gas_limit = kDiceBlockGasLimit;
   }
 
   // One single-future job per transaction traffic[first, first + n), wrapping.

@@ -11,12 +11,11 @@
 #                   build/analyze-cache keyed on file content hash.
 #   format          check-only clang-format over the curated file list below
 #                   [skipped when clang-format is not installed]
-#   tier1           default build + full ctest suite (build/)
+#   tier1           default build + full ctest suite (build/), the §5.2
+#                   oracle's slice (tests/oracle_test.cc) included
 #   versioned-gate  bench_versioned_state gates: handle-acquire cost,
 #                   trie-only vs store-backed commit roots and the measured
-#                   fold wall's 4-worker speedup, zero critical-path trie reads and
-#                   full store coverage on L1 with and without fork churn,
-#                   reorg-depth sweep against the trie-only replay
+#                   fold wall's 4-worker speedup
 #   block-stm-gate  bench_block_stm gates: bit-identical roots at 1/2/4
 #                   block workers under low- and high-conflict traffic,
 #                   deterministic conflict counts, >= 2x CPU-wall speedup
@@ -29,6 +28,9 @@
 #                   (config in .clang-tidy) over the concurrency-heavy files
 #                   [skipped when clang-tidy is not installed]
 #   asan            AddressSanitizer build + full ctest suite (build-asan/)
+#   oracle-soak     the oracle's DISABLED_ soak cases (more seeds, full-size
+#                   fork churn, the full worker grid) from the ASan tree
+#                   [skipped with --skip-asan]
 #   tsan            ThreadSanitizer concurrency subset via tools/run_tsan.sh
 #   ubsan           UBSan build + full ctest suite (build-ubsan/)
 #
@@ -224,6 +226,11 @@ stage_asan() {
     (cd "${repo_root}/build-asan" && ctest --output-on-failure -j"${jobs}")
 }
 
+stage_oracle_soak() {
+  "${repo_root}/build-asan/tests/oracle_test" --gtest_also_run_disabled_tests \
+    --gtest_filter='OracleSoakTest.*'
+}
+
 stage_tsan() {
   "${repo_root}/tools/run_tsan.sh"
 }
@@ -262,8 +269,10 @@ fi
 
 if [[ "${skip_asan}" == 0 ]]; then
   run_stage asan stage_asan
+  run_stage oracle-soak stage_oracle_soak
 else
   skip_stage asan "--skip-asan"
+  skip_stage oracle-soak "--skip-asan"
 fi
 
 if [[ "${skip_tsan}" == 0 ]]; then

@@ -3,16 +3,19 @@
 # and runs the concurrency-sensitive tests: the persistent WorkerPool every
 # parallel stage runs on, the snapshot-reader / KvStore stress test (readers
 # pinning VersionedState handles while commits land), the parallel
-# speculation engine determinism test, the full forerunner node
-# test, the node-subsystem tests (mempool admission and the chain manager's
-# multi-depth reorgs around the worker pool), the versioned snapshot store
-# (readers pinning handles through commit/fork churn, the parallel commit
-# folds), the optimistic parallel block executor (worker threads publishing
-# attempts through the round barrier while snapshot readers pin and read
-# concurrently), the persistence log's locked append path, the prefetcher's
-# trie-warming path, and the observability tests (sharded metrics registry
-# under concurrent writers, trace capture during a threaded scenario). Pass
-# --all to run the entire ctest suite under TSan instead (slow).
+# speculation engine's pool and its worker-count determinism test, the §5.2
+# oracle's slice (nodes at every speculation, block and commit worker count
+# on one DiCE run, one of them with the tracer armed), the full forerunner
+# node test, the node-subsystem tests (mempool admission and the chain
+# manager's multi-depth reorgs around the worker pool), the versioned
+# snapshot store (readers pinning handles through commit/fork churn, the
+# parallel commit folds), the optimistic parallel block executor (worker
+# threads publishing attempts through the round barrier while snapshot
+# readers pin and read concurrently), the persistence log's locked append
+# path, the prefetcher's trie-warming path, and the observability tests
+# (sharded metrics registry under concurrent writers, trace capture during a
+# threaded scenario). Pass --all to run the entire ctest suite under TSan
+# instead (slow).
 #
 # Division of labor with the clang -Wthread-safety stage (tools/ci.sh):
 # the annotated wrappers in src/common/sync.h prove *lock discipline* at
@@ -38,8 +41,8 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DFRN_SANITIZE=thread >/dev/null
-tsan_tests=(worker_pool_test concurrency_stress_test spec_pool_test forerunner_test
-            mempool_test chain_manager_test
+tsan_tests=(worker_pool_test concurrency_stress_test spec_pool_test oracle_test
+            forerunner_test mempool_test chain_manager_test
             versioned_state_test block_stm_test persist_test prefetcher_test
             obs_registry_test trace_format_test lockdep_test)
 
