@@ -4,8 +4,8 @@
 // (ParallelBlockExecutor) each own one instance, sized by their own knob.
 //
 // Job j always runs as worker j % threads(), and fn receives that worker
-// index, so a caller can keep per-worker state (a Speculator, a scratch
-// buffer) indexed by it: no two jobs running at once share an index. Jobs
+// index, so a caller can keep per-worker state (a scratch buffer, a stats
+// slot) indexed by it: no two jobs running at once share an index. Jobs
 // must touch only their own slot of caller-owned state; Run returns after
 // every job finished, and that return publishes the jobs' writes to the
 // caller. A pool of one thread starts no threads and runs every job inline

@@ -1,6 +1,8 @@
 #include "src/dice/simulator.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -308,6 +310,17 @@ SimReport DiceSimulator::Run(const std::vector<Node*>& nodes,
         forks->Add();
         EmitInstant(collector, "dice", "dice.fork",
                     {TraceArg::U64("block", block_number + 1), TraceArg::F64("sim_time", now)});
+        // A node whose undo window is shorter than the branch would stop
+        // unwinding part-way and execute the winner on the losing branch.
+        for (size_t n = 0; n < nodes.size(); ++n) {
+          if (nodes[n]->reorg_window() < executed_depth) {
+            std::fprintf(stderr,
+                         "DiceSimulator: node %zu has a %zu-block undo window, too short for a "
+                         "%zu-block fork branch\n",
+                         n, nodes[n]->reorg_window(), executed_depth);
+            std::abort();
+          }
+        }
         // The losing branch stays our head while the winner's branch
         // propagates; the orphaned transactions re-enter the pool on reorg
         // and the speculation pipeline gets to re-process them.

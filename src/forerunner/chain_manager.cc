@@ -1,7 +1,5 @@
 #include "src/forerunner/chain_manager.h"
 
-#include "src/obs/registry.h"
-
 namespace frn {
 
 ChainManager::ChainManager(Mpt* trie, VersionedState* versioned,
@@ -13,8 +11,6 @@ void ChainManager::ReopenState() {
     retired_state_stats_ += state_->stats();
   }
   state_ = std::make_unique<StateDb>(trie_, head_root_, versioned_, &commit_pool_);
-  static Gauge* view_active = MetricsRegistry::Global().GetGauge("state.view_active");
-  view_active->Set(state_->view().valid() ? 1.0 : 0.0);
 }
 
 void ChainManager::SetGenesis(const Hash& root) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/registry.h"
-
 namespace frn {
 
 void Mempool::Insert(const Transaction& tx, double heard_at) {
@@ -30,8 +28,6 @@ void Mempool::Remove(uint64_t tx_id) {
 }
 
 void Mempool::EnforceCapacity(std::vector<uint64_t>* evicted) {
-  static Counter* eviction_counter =
-      MetricsRegistry::Global().GetCounter("mempool.evictions");
   while (options_.capacity > 0 && entries_.size() > options_.capacity) {
     const PendingTx* worst = nullptr;
     for (const PendingTx& p : entries_) {
@@ -45,7 +41,6 @@ void Mempool::EnforceCapacity(std::vector<uint64_t>* evicted) {
     uint64_t victim_id = by_sender_.at(worst->tx.sender).rbegin()->second;
     evicted->push_back(victim_id);
     ++evictions_;
-    eviction_counter->Add();
     Remove(victim_id);
   }
 }
@@ -67,13 +62,10 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, double heard_at) {
                                  [&](const PendingTx& p) { return p.tx.id == resident_id; });
     // Integer-exact fee-bump check: new * 100 >= old * (100 + bump).
     U256 offered = tx.gas_price * U256(100);
-    U256 required = resident->tx.gas_price * U256(100 + options_.replace_fee_bump_pct);
+    U256 required = resident->tx.gas_price * U256(100 + kReplaceFeeBumpPct);
     if (offered < required) {
       result.outcome = AddOutcome::kUnderpriced;
       ++underpriced_;
-      static Counter* underpriced_counter =
-          MetricsRegistry::Global().GetCounter("mempool.underpriced");
-      underpriced_counter->Add();
       return result;
     }
     // Replace in place, keeping the arrival position of the displaced tx.
@@ -85,9 +77,6 @@ Mempool::AddResult Mempool::Add(const Transaction& tx, double heard_at) {
     heard_.emplace(tx.id, heard_at);
     ++replacements_;
     ++heard_count_;
-    static Counter* replacement_counter =
-        MetricsRegistry::Global().GetCounter("mempool.replacements");
-    replacement_counter->Add();
   } else {
     Insert(tx, heard_at);
     ++heard_count_;
@@ -137,8 +126,6 @@ bool Mempool::Retire(uint64_t tx_id, double* heard_at_out) {
   }
   Remove(tx_id);
   ++retired_;
-  static Counter* retired_counter = MetricsRegistry::Global().GetCounter("mempool.retired");
-  retired_counter->Add();
   return true;
 }
 

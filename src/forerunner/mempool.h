@@ -44,13 +44,14 @@ class MempoolView {
   const std::vector<PendingTx>* entries_;
 };
 
+// A same-(sender, nonce) replacement must raise the gas price by at least
+// this percentage over the resident transaction to displace it.
+inline constexpr uint64_t kReplaceFeeBumpPct = 10;
+
 struct MempoolOptions {
   // Maximum resident transactions; 0 = unbounded (the pre-decomposition
   // behaviour, and the default for every bench and scenario).
   size_t capacity = 0;
-  // A same-(sender, nonce) replacement must raise the gas price by at least
-  // this percentage over the resident transaction to displace it.
-  uint64_t replace_fee_bump_pct = 10;
 };
 
 struct MempoolStats {

@@ -68,9 +68,7 @@ void Node::OnHeard(const Transaction& tx, double sim_time) {
     return;
   }
   static Counter* heard = MetricsRegistry::Global().GetCounter("mempool.heard");
-  static Gauge* pending = MetricsRegistry::Global().GetGauge("mempool.pending");
   heard->Add();
-  pending->SetMax(static_cast<double>(mempool_.size()));
   TraceCollector* collector = &TraceCollector::Global();
   if (collector->enabled() && collector->SampleTx(tx.id)) {
     EmitInstant(collector, "mempool", "tx.heard",
@@ -127,14 +125,37 @@ void Node::RunSpeculationPipeline(double sim_time) {
                      });
 }
 
-bool Node::ExecuteTxsParallel(const Block& block, double sim_time, BlockExecReport* report) {
+void Node::RecordTx(const Transaction& tx, bool speculated, double seconds,
+                    const AccelOutcome& outcome, BlockExecReport* report) {
   static Counter* txs_counter = MetricsRegistry::Global().GetCounter("exec.txs");
   static Counter* txs_speculated = MetricsRegistry::Global().GetCounter("exec.txs_speculated");
   static Counter* exec_gas = MetricsRegistry::Global().GetCounter("exec.gas");
   static SecondsCounter* cp_seconds = MetricsRegistry::Global().GetSeconds("exec.cp_seconds");
   static ExpHistogram* tx_seconds_hist =
       MetricsRegistry::Global().GetHistogram("exec.tx_seconds");
+  TxExecRecord record;
+  record.tx_id = tx.id;
+  record.heard = mempool_.Contains(tx.id);
+  record.speculated = speculated;
+  record.seconds = seconds;
+  record.accelerated = outcome.accelerated;
+  record.perfect = outcome.perfect;
+  record.gas_used = outcome.result.gas_used;
+  record.status = outcome.result.status;
+  record.instrs_executed = outcome.instrs_executed;
+  record.instrs_skipped = outcome.instrs_skipped;
+  txs_counter->Add();
+  if (record.speculated) {
+    txs_speculated->Add();
+  }
+  exec_gas->Add(record.gas_used);
+  cp_seconds->Add(record.seconds);
+  tx_seconds_hist->Record(record.seconds);
+  report->txs.push_back(record);
+  chain_.AdvanceNonce(tx, record.status);
+}
 
+bool Node::ExecuteTxsParallel(const Block& block, double sim_time, BlockExecReport* report) {
   std::vector<const TxSpeculation*> specs(block.txs.size(), nullptr);
   if (options_.strategy != ExecStrategy::kBaseline) {
     for (size_t i = 0; i < block.txs.size(); ++i) {
@@ -167,33 +188,11 @@ bool Node::ExecuteTxsParallel(const Block& block, double sim_time, BlockExecRepo
   // folds is bit-identical to the serial loop's.
   StateDb* state = chain_.state();
   for (size_t i = 0; i < block.txs.size(); ++i) {
-    const Transaction& tx = block.txs[i];
     state->ApplyWriteSet(results[i].writes, block.header.coinbase);
-
-    TxExecRecord record;
-    record.tx_id = tx.id;
-    record.heard = mempool_.Contains(tx.id);
-    record.speculated = specs[i] != nullptr;
     // Per-tx cost is the committed attempt's thread CPU (cold-read spins
     // included), where the serial loop reports a per-tx stopwatch.
-    record.seconds = results[i].last_cost_seconds;
-    const AccelOutcome& outcome = results[i].outcome;
-    record.accelerated = outcome.accelerated;
-    record.perfect = outcome.perfect;
-    record.gas_used = outcome.result.gas_used;
-    record.status = outcome.result.status;
-    record.instrs_executed = outcome.instrs_executed;
-    record.instrs_skipped = outcome.instrs_skipped;
-    txs_counter->Add();
-    if (record.speculated) {
-      txs_speculated->Add();
-    }
-    exec_gas->Add(record.gas_used);
-    cp_seconds->Add(record.seconds);
-    tx_seconds_hist->Record(record.seconds);
-    report->txs.push_back(record);
-
-    chain_.AdvanceNonce(tx, record.status);
+    RecordTx(block.txs[i], specs[i] != nullptr, results[i].last_cost_seconds,
+             results[i].outcome, report);
   }
   return true;
 }
@@ -203,17 +202,11 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
   chain_.BeginBlock(block, sim_time);
 
   static Counter* blocks = MetricsRegistry::Global().GetCounter("exec.blocks");
-  static Counter* txs_counter = MetricsRegistry::Global().GetCounter("exec.txs");
-  static Counter* txs_speculated = MetricsRegistry::Global().GetCounter("exec.txs_speculated");
-  static Counter* exec_gas = MetricsRegistry::Global().GetCounter("exec.gas");
-  static SecondsCounter* cp_seconds = MetricsRegistry::Global().GetSeconds("exec.cp_seconds");
   static SecondsCounter* tx_wall = MetricsRegistry::Global().GetSeconds("exec.tx_wall_seconds");
   static SecondsCounter* block_wall =
       MetricsRegistry::Global().GetSeconds("exec.block_wall_seconds");
   static SecondsCounter* commit_wall =
       MetricsRegistry::Global().GetSeconds("exec.commit_wall_seconds");
-  static ExpHistogram* tx_seconds_hist =
-      MetricsRegistry::Global().GetHistogram("exec.tx_seconds");
   TraceCollector* collector = &TraceCollector::Global();
 
   BlockExecReport report;
@@ -234,47 +227,26 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
   }
   const std::vector<Transaction> no_txs;
   for (const Transaction& tx : executed ? no_txs : block.txs) {
-    TxExecRecord record;
-    record.tx_id = tx.id;
-    record.heard = mempool_.Contains(tx.id);
-
     const TxSpeculation* spec = nullptr;
     if (options_.strategy != ExecStrategy::kBaseline) {
       spec = spec_.Lookup(tx.id, sim_time);
     }
-    record.speculated = spec != nullptr;
-
     // The span is constructed before — and its args attached after — the
-    // measured region, so trace emission cost stays out of record.seconds.
+    // measured region, so trace emission cost stays out of the tx's seconds.
     TraceSpan tx_span(collector, "exec", "tx.exec", tx_wall,
                       collector->enabled() && collector->SampleTx(tx.id));
     Stopwatch tx_watch;
     AccelOutcome outcome =
         Accelerator::Execute(chain_.state(), block.header, tx, spec, options_.strategy);
-    record.seconds = tx_watch.ElapsedSeconds();
-    record.accelerated = outcome.accelerated;
-    record.perfect = outcome.perfect;
-    record.gas_used = outcome.result.gas_used;
-    record.status = outcome.result.status;
-    record.instrs_executed = outcome.instrs_executed;
-    record.instrs_skipped = outcome.instrs_skipped;
+    const double seconds = tx_watch.ElapsedSeconds();
     tx_span.AddArg(TraceArg::U64("tx", tx.id));
-    tx_span.AddArg(TraceArg::U64("speculated", record.speculated ? 1 : 0));
-    tx_span.AddArg(TraceArg::U64("accelerated", record.accelerated ? 1 : 0));
-    tx_span.AddArg(TraceArg::U64("perfect", record.perfect ? 1 : 0));
-    tx_span.AddArg(TraceArg::U64("gas", record.gas_used));
-    tx_span.AddArg(TraceArg::F64("cp_s", record.seconds));
+    tx_span.AddArg(TraceArg::U64("speculated", spec != nullptr ? 1 : 0));
+    tx_span.AddArg(TraceArg::U64("accelerated", outcome.accelerated ? 1 : 0));
+    tx_span.AddArg(TraceArg::U64("perfect", outcome.perfect ? 1 : 0));
+    tx_span.AddArg(TraceArg::U64("gas", outcome.result.gas_used));
+    tx_span.AddArg(TraceArg::F64("cp_s", seconds));
     tx_span.Finish();
-    txs_counter->Add();
-    if (record.speculated) {
-      txs_speculated->Add();
-    }
-    exec_gas->Add(record.gas_used);
-    cp_seconds->Add(record.seconds);
-    tx_seconds_hist->Record(record.seconds);
-    report.txs.push_back(record);
-
-    chain_.AdvanceNonce(tx, record.status);
+    RecordTx(tx, spec != nullptr, seconds, outcome, &report);
   }
   {
     TraceSpan commit_span(collector, "block", "block.commit", commit_wall);
@@ -309,8 +281,6 @@ void Node::RollbackHead() {
   if (!chain_.CanRollback()) {
     return;
   }
-  static Counter* rollbacks = MetricsRegistry::Global().GetCounter("chain.rollbacks");
-  rollbacks->Add();
   std::vector<OrphanedTx> orphans = chain_.RollbackHead();
   if (options_.store.persist != nullptr) {
     // Re-mark the restored head so a crash right after the rollback recovers

@@ -159,11 +159,8 @@ class Node {
     return spec_.executed_speculations();
   }
 
-  // Optimistic intra-block parallel executor introspection
-  // (chain.block_workers > 1; null executor == bit-for-bit serial blocks).
-  size_t block_workers() const { return options_.chain.block_workers; }
-  bool parallel_exec_enabled() const { return parallel_exec_ != nullptr; }
-  // Cumulative across all executed blocks (rounds, conflicts, re-executions,
+  // Optimistic intra-block parallel executor (chain.block_workers > 1),
+  // cumulative across all executed blocks (rounds, conflicts, re-executions,
   // CPU and stopwatch walls); fallback_serial is true if any block fell back.
   const ParallelBlockStats& parallel_stats() const { return parallel_totals_; }
   uint64_t parallel_fallbacks() const { return parallel_fallbacks_; }
@@ -186,6 +183,11 @@ class Node {
   // order. Returns false (leaving `report` untouched) when the executor fell
   // back — the caller then runs the serial loop.
   bool ExecuteTxsParallel(const Block& block, double sim_time, BlockExecReport* report);
+  // The per-transaction step both execution paths end with: appends the
+  // transaction's record to `report`, counts it, and advances its sender's
+  // chain nonce.
+  void RecordTx(const Transaction& tx, bool speculated, double seconds,
+                const AccelOutcome& outcome, BlockExecReport* report);
 
   NodeOptions options_;
   KvStore store_;

@@ -52,13 +52,6 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
                                          ExecStrategy strategy,
                                          std::vector<ParallelTxResult>* results,
                                          ParallelBlockStats* stats) {
-  static Counter* conflicts_counter = MetricsRegistry::Global().GetCounter("exec.conflicts");
-  static Counter* reexec_counter = MetricsRegistry::Global().GetCounter("exec.reexecutions");
-  static Counter* validation_failures_counter =
-      MetricsRegistry::Global().GetCounter("exec.validation_failures");
-  static Counter* rounds_counter = MetricsRegistry::Global().GetCounter("exec.parallel_rounds");
-  static Counter* fallbacks_counter =
-      MetricsRegistry::Global().GetCounter("exec.parallel_fallbacks");
   static SecondsCounter* parallel_wall =
       MetricsRegistry::Global().GetSeconds("exec.parallel_wall_seconds");
 
@@ -73,7 +66,6 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
       // The commutative fee exemption assumes the fee account only ever
       // receives credits inside the block; a fee-account sender breaks that.
       stats->fallback_serial = true;
-      fallbacks_counter->Add();
       return false;
     }
   }
@@ -98,7 +90,6 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
       // Unreachable by the convergence argument (header comment), kept as a
       // hard safety valve: the caller re-runs the block serially.
       stats->fallback_serial = true;
-      fallbacks_counter->Add();
       return false;
     }
     ++stats->rounds;
@@ -133,7 +124,6 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
       // against an empty prefix would technically be safe, but distinguishing
       // it would make the fallback decision depend on commit timing.)
       stats->fallback_serial = true;
-      fallbacks_counter->Add();
       static Counter* fee_read_fallbacks =
           MetricsRegistry::Global().GetCounter("exec.fee_balance_fallbacks");
       fee_read_fallbacks->Add();
@@ -157,11 +147,9 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
       }
       prefix_open = false;
       ++stats->validation_failures;
-      validation_failures_counter->Add();
       if (!attempts[i].failed_once) {
         attempts[i].failed_once = true;
         ++stats->conflicts;
-        conflicts_counter->Add();
       }
       pending.push_back(i);
     }
@@ -176,8 +164,6 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
     r.attempts = attempts[i].attempts;
     r.last_cost_seconds = attempts[i].cost_seconds;
   }
-  reexec_counter->Add(stats->reexecutions);
-  rounds_counter->Add(stats->rounds);
   span.AddArg(TraceArg::U64("rounds", stats->rounds));
   span.AddArg(TraceArg::U64("conflicts", stats->conflicts));
   span.AddArg(TraceArg::F64("cpu_wall_s", stats->exec_wall_seconds));

@@ -71,8 +71,6 @@ void SpeculationManager::MergeResults(std::vector<SpecJobResult>* results,
     }
   }
   max_entries_seen_ = std::max(max_entries_seen_, entries_.size());
-  static Gauge* occupancy = MetricsRegistry::Global().GetGauge("spec.cache_entries");
-  occupancy->SetMax(static_cast<double>(entries_.size()));
 }
 
 const TxSpeculation* SpeculationManager::Lookup(uint64_t tx_id, double sim_time) const {

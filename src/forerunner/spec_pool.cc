@@ -39,12 +39,11 @@ double SpecWorkerImbalance(const std::vector<SpecWorkerStats>& workers) {
 
 SpecPool::SpecPool(Mpt* trie, const Speculator::Options& options, size_t workers,
                    VersionedState* versioned)
-    : speculators_(std::max<size_t>(1, workers), Speculator(trie, options, versioned)),
+    : speculator_(trie, options, versioned),
       pool_(workers),
       worker_stats_(pool_.threads()) {}
 
-void SpecPool::ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
-                          size_t worker) {
+void SpecPool::ExecuteJob(SpecJob& job, SpecJobResult& result, size_t worker) const {
   static SecondsCounter* job_wall = MetricsRegistry::Global().GetSeconds("spec.job_wall_seconds");
   static Counter* jobs_counter = MetricsRegistry::Global().GetCounter("spec.jobs");
   static Counter* futures_counter = MetricsRegistry::Global().GetCounter("spec.futures");
@@ -61,7 +60,7 @@ void SpecPool::ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobRes
   result.outcomes.reserve(job.futures.size());
   for (const FutureContext& future : job.futures) {
     SpecFutureOutcome outcome;
-    outcome.synthesized = speculator.SpeculateFuture(job.root, job.tx, future, &result.spec);
+    outcome.synthesized = speculator_.SpeculateFuture(job.root, job.tx, future, &result.spec);
     if (outcome.synthesized) {
       outcome.stats = result.spec.last_stats;
     }
@@ -86,7 +85,7 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
 
   Stopwatch batch_watch;
   pool_.Run(jobs.size(), [&](size_t j, size_t worker) {
-    ExecuteJob(speculators_[worker], jobs[j], results[j], worker);
+    ExecuteJob(jobs[j], results[j], worker);
   });
   measured_wall_seconds_ += batch_watch.ElapsedSeconds();
 
@@ -108,17 +107,7 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
     stats.queue_wait_seconds += result.queue_seconds;
   }
   last_batch_wall_seconds_ = *std::max_element(worker_busy.begin(), worker_busy.end());
-  static SecondsCounter* batch_wall =
-      MetricsRegistry::Global().GetSeconds("spec.batch_wall_seconds");
-  static SecondsCounter* queue_wait =
-      MetricsRegistry::Global().GetSeconds("spec.queue_wait_seconds");
   static Gauge* lane_occupancy = MetricsRegistry::Global().GetGauge("spec.max_lane_occupancy");
-  batch_wall->Add(last_batch_wall_seconds_);
-  double wait_sum = 0;
-  for (const SpecJobResult& result : results) {
-    wait_sum += result.queue_seconds;
-  }
-  queue_wait->Add(wait_sum);
   lane_occupancy->SetMax(static_cast<double>((results.size() + workers - 1) / workers));
   return results;
 }

@@ -93,11 +93,10 @@ class SpecPool {
 
  private:
   // Executes one job into its result slot, measuring its thread CPU.
-  void ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
-                  size_t worker);
+  void ExecuteJob(SpecJob& job, SpecJobResult& result, size_t worker) const;
 
-  // One Speculator per worker, built once; worker w only ever uses its own.
-  std::vector<Speculator> speculators_;
+  // Stateless (SpeculateFuture is const), so every worker shares it.
+  const Speculator speculator_;
   WorkerPool pool_;
 
   // Coordinator-only (written between batches, no worker ever touches them).

@@ -61,8 +61,8 @@ struct TxSpeculation {
 
 // The speculator holds no mutable state of its own: all accumulation happens
 // in the caller-owned TxSpeculation, and the trie/store underneath is safe
-// for concurrent readers. Per-worker instances of the parallel speculation
-// engine therefore run side by side against the same head snapshot.
+// for concurrent readers. Every worker of the parallel speculation engine
+// therefore shares one instance against the same head snapshot.
 class VersionedState;
 
 class Speculator {

@@ -59,9 +59,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
                                       std::vector<std::pair<StateSlotKey, U256>> slots) {
   static SecondsCounter* seal_seconds =
       MetricsRegistry::Global().GetSeconds("state.seal_seconds");
-  static Counter* commits = MetricsRegistry::Global().GetCounter("state.commits");
-  static Counter* invalidations = MetricsRegistry::Global().GetCounter("state.invalidations");
-  static Gauge* retained = MetricsRegistry::Global().GetGauge("state.retained_versions");
   TraceSpan span(&TraceCollector::Global(), "state", "versioned.seal", seal_seconds);
   span.AddArg(TraceArg::U64("accounts", accounts.size()));
   span.AddArg(TraceArg::U64("slots", slots.size()));
@@ -72,7 +69,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
     // answered this by permanently invalidating itself; here the failure
     // stays local to this commit — every retained version keeps serving.
     ++stats_.invalidations;
-    invalidations->Add();
     return SnapshotHandle{};
   }
   auto v = std::make_shared<StateVersion>();
@@ -90,7 +86,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
   by_root_[version_root] = v;  // latest-wins for repeated roots (empty blocks)
   head_ = v;  // the store itself retains the head chain; see header comment
   ++stats_.commits;
-  commits->Add();
   PruneLocked(v);
   // Drop index entries whose versions died (released handles past retention).
   for (auto it = by_root_.begin(); it != by_root_.end();) {  // frn:allow(unordered-iter): pure expired-entry sweep, order-independent
@@ -99,7 +94,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
   stats_.retained = by_root_.size();
   stats_.accounts = accounts_.size();
   stats_.slots = storage_.size();
-  retained->Set(static_cast<double>(by_root_.size()));
   // The returned handle is copy-elided into the caller's frame, so its
   // release hook (hook->mutex -> store mutex_) never fires while mutex_ is
   // held here.
@@ -108,7 +102,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
 }
 
 void VersionedState::PruneLocked(const std::shared_ptr<StateVersion>& tip) {
-  static Counter* folds = MetricsRegistry::Global().GetCounter("state.folds");
   for (;;) {
     // Chain above the base, tip first. Recomputed per fold: each fold
     // shortens it by one.
@@ -151,7 +144,6 @@ void VersionedState::PruneLocked(const std::shared_ptr<StateVersion>& tip) {
     new_base->parent.reset();   // old base: last strong ref is base_ below
     base_ = std::move(new_base);  // old base destroyed; its by_root_ entry expires
     ++stats_.folds;
-    folds->Add();
   }
 }
 

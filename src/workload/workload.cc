@@ -102,6 +102,9 @@ NodeOptions ScenarioNodeOptions(const ScenarioConfig& config, ExecStrategy strat
   options.store.cold_read_latency = config.cold_read_latency;
   options.predictor.miners = MinerCandidates(miners);
   options.predictor.mean_block_interval = config.dice.mean_block_interval;
+  // The undo window must reach past DiCE's deepest losing branch.
+  options.chain.max_reorg_depth =
+      std::max(options.chain.max_reorg_depth, config.dice.max_fork_depth);
   return options;
 }
 

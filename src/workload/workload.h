@@ -51,7 +51,8 @@ bool IsScenarioName(const std::string& name);
 
 // The node options every scenario run starts from: `strategy` over the
 // scenario's store latency, with the predictor told the DiCE miners and the
-// mean block interval. Callers set anything else on the result.
+// mean block interval, and an undo window at least DiCE's max_fork_depth
+// deep. Callers set anything else on the result.
 NodeOptions ScenarioNodeOptions(const ScenarioConfig& config, ExecStrategy strategy,
                                 const std::vector<MinerModel>& miners);
 

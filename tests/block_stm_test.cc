@@ -1,9 +1,10 @@
 // Tests of the optimistic intra-block parallel executor: edge cases (empty
 // block, single transaction), deterministic conflict accounting on a fully
 // serialized shared-counter workload, aborts surfacing during re-execution,
-// the fee-account-sender serial fallback, node-level root identity across
-// worker counts (including speculation-fed attempts), and a TSan stress run
-// joining the executor's worker threads with concurrent snapshot readers.
+// the fee-account-sender serial fallback, and a TSan stress run joining the
+// executor's worker threads with concurrent snapshot readers. Node roots
+// across block_workers counts, speculation-fed attempts included, are the
+// §5.2 oracle's (tests/oracle_test.cc).
 #include "src/forerunner/parallel_exec.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include "src/contracts/contracts.h"
 #include "src/crypto/keccak.h"
 #include "src/forerunner/accelerator.h"
-#include "src/forerunner/node.h"
 #include "src/obs/registry.h"
 #include "src/state/block_stm.h"
 #include "src/state/versioned_state.h"
@@ -283,131 +283,6 @@ TEST(BlockStmTest, NonCoinbaseBalanceReadsStayParallel) {
                                 ExecStrategy::kBaseline, &results, &stats));
   EXPECT_FALSE(stats.fallback_serial);
   EXPECT_EQ(MergeAndCommit(&world.trie(), root, world.block(), results), serial_root);
-}
-
-// ---- Node-level identity across worker counts ----
-
-class BlockStmNodeTest : public ::testing::Test {
- protected:
-  NodeOptions BaseOptions() {
-    NodeOptions options;
-    options.store.cold_read_latency = std::chrono::nanoseconds(0);
-    options.speculation_time_scale = 0;
-    return options;
-  }
-
-  std::unique_ptr<Node> MakeNode(const NodeOptions& options) {
-    auto genesis = [this](StateDb* state) {
-      for (uint64_t s = 1; s <= 8; ++s) {
-        state->AddBalance(Address::FromId(s), U256::Exp(U256(10), U256(21)));
-        state->SetStorage(token_, Token::BalanceSlot(Address::FromId(s)),
-                          U256(1'000'000));
-      }
-      state->SetCode(token_, Token::Code());
-      state->SetCode(feed_, PriceFeed::Code());
-    };
-    return std::make_unique<Node>(options, genesis);
-  }
-
-  // Block `number`: disjoint token transfers from senders 1..4, shared-round
-  // feed submissions from senders 5..6, and a plain value transfer — mixing
-  // conflict-free and conflicting traffic in one block.
-  Block MakeBlock(uint64_t number) {
-    Block block;
-    block.header.number = number;
-    block.header.timestamp = 1'700'000'000 + number * 13;
-    block.header.coinbase = Address::FromId(0xC0FFEE);
-    const U256 round_id(block.header.timestamp - block.header.timestamp % 300);
-    uint64_t id = number * 100;
-    auto add = [&](uint64_t sender, const Address& to, Bytes data, const U256& value) {
-      Transaction tx;
-      tx.id = ++id;
-      tx.sender = Address::FromId(sender);
-      tx.to = to;
-      tx.data = std::move(data);
-      tx.value = value;
-      tx.nonce = number - 1;
-      tx.gas_limit = 500'000;
-      tx.gas_price = U256(1'000'000'000);
-      block.txs.push_back(std::move(tx));
-    };
-    for (uint64_t s = 1; s <= 4; ++s) {
-      add(s, token_,
-          EncodeCall(Token::kTransfer,
-                     {Address::FromId(40 + s).ToU256(), U256(10 + number)}),
-          U256());
-    }
-    for (uint64_t s = 5; s <= 6; ++s) {
-      add(s, feed_, PriceFeed::SubmitCall(round_id, U256(1900 + s)), U256());
-    }
-    add(7, Address::FromId(77), {}, U256(5));
-    return block;
-  }
-
-  Address token_ = Address::FromId(500);
-  Address feed_ = Address::FromId(600);
-};
-
-TEST_F(BlockStmNodeTest, RootsIdenticalAcrossWorkerCounts) {
-  auto serial = MakeNode(BaseOptions());
-  ASSERT_FALSE(serial->parallel_exec_enabled());  // block_workers=1 default
-  NodeOptions w2 = BaseOptions();
-  w2.chain.block_workers = 2;
-  NodeOptions w4 = BaseOptions();
-  w4.chain.block_workers = 4;
-  auto node2 = MakeNode(w2);
-  auto node4 = MakeNode(w4);
-  ASSERT_TRUE(node2->parallel_exec_enabled());
-  EXPECT_EQ(node2->block_workers(), 2u);
-
-  for (uint64_t n = 1; n <= 4; ++n) {
-    Block block = MakeBlock(n);
-    BlockExecReport a = serial->ExecuteBlock(block, 13.0 * n);
-    BlockExecReport b = node2->ExecuteBlock(block, 13.0 * n);
-    BlockExecReport c = node4->ExecuteBlock(block, 13.0 * n);
-    ASSERT_EQ(a.state_root, b.state_root) << "block " << n;
-    ASSERT_EQ(a.state_root, c.state_root) << "block " << n;
-    ASSERT_EQ(a.txs.size(), b.txs.size());
-    for (size_t i = 0; i < a.txs.size(); ++i) {
-      EXPECT_EQ(a.txs[i].status, b.txs[i].status);
-      EXPECT_EQ(a.txs[i].gas_used, b.txs[i].gas_used);
-      EXPECT_EQ(b.txs[i].gas_used, c.txs[i].gas_used);
-    }
-  }
-  // Conflict accounting is deterministic at any worker count.
-  EXPECT_EQ(node2->parallel_stats().conflicts, node4->parallel_stats().conflicts);
-  EXPECT_GT(node2->parallel_stats().conflicts, 0u);  // the feed submissions
-  EXPECT_EQ(node2->parallel_fallbacks(), 0u);
-  EXPECT_EQ(node4->parallel_fallbacks(), 0u);
-}
-
-TEST_F(BlockStmNodeTest, SpeculationFeedsOptimisticAttempts) {
-  NodeOptions parallel_options = BaseOptions();
-  parallel_options.chain.block_workers = 2;
-  auto serial = MakeNode(BaseOptions());
-  auto parallel = MakeNode(parallel_options);
-
-  Block block = MakeBlock(1);
-  for (const Transaction& tx : block.txs) {
-    serial->OnHeard(tx, 1.0);
-    parallel->OnHeard(tx, 1.0);
-  }
-  serial->RunSpeculationPipeline(1.5);
-  parallel->RunSpeculationPipeline(1.5);
-
-  BlockExecReport a = serial->ExecuteBlock(block, 13.0);
-  BlockExecReport b = parallel->ExecuteBlock(block, 13.0);
-  EXPECT_EQ(a.state_root, b.state_root);
-  ASSERT_EQ(a.txs.size(), b.txs.size());
-  bool any_accelerated = false;
-  for (size_t i = 0; i < a.txs.size(); ++i) {
-    EXPECT_TRUE(b.txs[i].speculated);
-    // The AP fast path feeds the optimistic first attempt: acceleration
-    // outcomes match the serial node's per transaction.
-    EXPECT_EQ(a.txs[i].accelerated, b.txs[i].accelerated) << "tx " << i;
-    any_accelerated |= b.txs[i].accelerated;
-  }
-  EXPECT_TRUE(any_accelerated);
 }
 
 // TSan target (tools/run_tsan.sh): the executor's worker threads interleave

@@ -8,7 +8,6 @@
 
 #include "src/crypto/keccak.h"
 #include "src/forerunner/node.h"
-#include "src/replay/recording.h"
 #include "tests/test_util.h"
 
 namespace frn {
@@ -135,43 +134,6 @@ TEST_F(ChainRollbackTest, ReorgWindowIsConfigurable) {
   node->RollbackHead();
   EXPECT_EQ(node->head().number, 3u);
   EXPECT_FALSE(node->CanRollback());
-}
-
-TEST_F(ChainRollbackTest, DepthEightRollbackWithVersionedStoreMatchesTrieOnly) {
-  // Widen the undo window to depth 8; the node's versioned store retains as
-  // many versions, so every rollback inside the window is a handle swap.
-  options_.chain.max_reorg_depth = 8;
-  options_.chain.commit_workers = 2;
-  auto node = MakeNode();
-
-  std::vector<Block> blocks;
-  for (uint64_t n = 1; n <= 9; ++n) {
-    blocks.push_back(MakeBlock(n));
-  }
-  // roots[k] = trie-only reference root after block k+1.
-  const std::vector<Hash> roots = ReplayTrieOnly(
-      [this](StateDb* state) { state->AddBalance(sender_, U256::Exp(U256(10), U256(21))); },
-      blocks);
-  for (uint64_t n = 1; n <= 9; ++n) {
-    ASSERT_EQ(node->ExecuteBlock(blocks[n - 1], 13.0 * n).state_root, roots[n - 1])
-        << "block " << n;
-  }
-
-  // Walk the full depth-8 window back: every step must land on the exact
-  // trie-only root.
-  for (size_t depth = 1; depth <= 8; ++depth) {
-    ASSERT_TRUE(node->CanRollback());
-    node->RollbackHead();
-    EXPECT_EQ(node->head().number, 9u - depth);
-    EXPECT_EQ(node->head_root(), roots[8 - depth]);
-  }
-  EXPECT_TRUE(node->view_active());
-
-  // Replaying the chain forward reproduces every root bit-identically.
-  for (uint64_t n = 2; n <= 9; ++n) {
-    EXPECT_EQ(node->ExecuteBlock(blocks[n - 1], 200.0 + n).state_root, roots[n - 1]);
-  }
-  EXPECT_EQ(node->versioned_stats().invalidations, 0u);
 }
 
 TEST(ChainManagerTest, ForkChoiceAdoptsByHeightThenFirstSeen) {

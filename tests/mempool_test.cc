@@ -24,9 +24,7 @@ Transaction MakeTx(uint64_t id, Address sender, uint64_t nonce, uint64_t price) 
 }
 
 TEST(MempoolTest, ReplacementByFeeRequiresBump) {
-  MempoolOptions options;
-  options.replace_fee_bump_pct = 10;
-  Mempool pool(options);
+  Mempool pool(MempoolOptions{});
   Address alice = Address::FromId(1);
 
   ASSERT_EQ(pool.Add(MakeTx(1, alice, 0, 100), 1.0).outcome,

@@ -5,17 +5,20 @@
 // run. Every node is checked against one reference, ReplayTrieOnly of the
 // main chain DiCE adopted, where a store-less StateDb walks the trie for
 // every read. The numbered assertions are the Check* functions below.
-// OracleTest holds the ctest slice; the DISABLED_ OracleSoakTest cases add
-// seeds, full-size churn and the full worker grid, and tools/ci.sh's
-// oracle-soak stage runs them with --gtest_also_run_disabled_tests.
+// SliceCases() holds the ctest slice, each case registered as the test its
+// key names; the DISABLED_ OracleSoakTest cases add seeds, full-size churn
+// and the full worker grid, and tools/ci.sh's oracle-soak stage runs them
+// with --gtest_also_run_disabled_tests.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/obs/registry.h"
@@ -72,9 +75,14 @@ struct OracleCase {
   size_t sweep_depth = 0;          // > 0: the undo window assertion 6 walks back
   bool replay = false;
   bool traced = false;
-  bool default_shares = false;  // L1's heard and accelerated shares
-  bool expect_conflicts = false;
+  bool default_shares = false;    // L1's heard and accelerated shares
+  bool expect_conflicts = false;  // Block-STM re-executed, and no block fell back
   bool expect_bails = false;
+
+  auto Inputs() const {
+    return std::tuple(std::string(scenario), seed, duration, tx_rate, n_users, fork_rate,
+                      fork_resolution_delay, max_fork_depth);
+  }
 };
 
 // Reports the first element at which two streams differ, so a divergence
@@ -146,9 +154,9 @@ class OracleRun {
     workload_ = std::make_unique<Workload>(cfg_);
     traffic_ = workload_->GenerateTraffic();
     genesis_ = [w = workload_.get()](StateDb* state) { w->InitGenesis(state); };
+    const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
     persist_dir_ = fs::path(::testing::TempDir()) /
-                   ("frn_oracle_" +
-                    std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+                   ("frn_oracle_" + std::string(test->test_suite_name()) + "_" + test->name() +
                     "_" + std::to_string(getpid()));
     fs::remove_all(persist_dir_);
   }
@@ -187,7 +195,6 @@ class OracleRun {
     options.spec_workers = c.spec_workers;
     options.chain.block_workers = c.block_workers;
     options.chain.commit_workers = c.commit_workers;
-    options.chain.max_reorg_depth = std::max<size_t>(4, case_.max_fork_depth);
     return options;
   }
 
@@ -268,6 +275,7 @@ class OracleRun {
     if (case_.expect_conflicts) {
       ASSERT_EQ(conflicts.size(), 1u);
       EXPECT_GT(conflicts.begin()->first, 0u) << "no Block-STM re-execution ran";
+      EXPECT_EQ(conflicts.begin()->second, 0u) << "a block fell back to the serial loop";
     }
     if (case_.expect_bails) {
       EXPECT_GT(bails_, 0u) << "no AP bailed to the EVM";
@@ -290,11 +298,12 @@ class OracleRun {
   }
 
   // Assertion 4: strategy ordering and shares, speculation only off the
-  // baseline, every main-chain transaction recorded once, and churn that
-  // happened.
+  // baseline, every main-chain transaction recorded once, and traffic and
+  // churn that happened.
   void CheckStrategiesAndChurn() const {
     SCOPED_TRACE("assertion 4: strategies and churn");
     const uint64_t packed = report_.txs_packed;
+    EXPECT_GT(packed, 20u);
     const size_t match = Serial(ExecStrategy::kPerfectMatch);
     const size_t multi = Serial(ExecStrategy::kPerfectMulti);
     const size_t forerunner = Serial(ExecStrategy::kForerunner);
@@ -323,6 +332,7 @@ class OracleRun {
     }
     if (case_.min_fork_depth_seen > 0) {
       EXPECT_GT(report_.fork_blocks, 0u);
+      EXPECT_GT(base.records.size(), packed) << "no fork-block transaction ran";
       EXPECT_GE(report_.max_fork_depth_seen, case_.min_fork_depth_seen);
     }
   }
@@ -431,16 +441,15 @@ class OracleRun {
     const size_t serial = Serial(ExecStrategy::kForerunner);
     ASSERT_LT(serial, nodes_.size());
     DiceSimulator sim(cfg_.dice, traffic_);
-    Node baseline(Options(kBaseline), genesis_);
     Node forerunner(Options(Forerunner(2, 1, 1)), genesis_);
     TraceCollector& collector = TraceCollector::Global();
     collector.Enable();
-    SimReport traced = sim.Run({&baseline, &forerunner}, cfg_.name);
+    SimReport traced = sim.Run({&forerunner}, cfg_.name);
     collector.Disable();
     EXPECT_GT(collector.event_count(), 0u);
     collector.Clear();
     EXPECT_EQ(traced.roots, reference_);
-    ExpectSameOutcome(report_.nodes[serial], traced.nodes[1]);
+    ExpectSameOutcome(report_.nodes[serial], traced.nodes[0]);
   }
 
   Hash GenesisRoot() const {
@@ -470,81 +479,151 @@ class OracleRun {
 void RunCase(const OracleCase& c) { OracleRun(c).CheckAll(); }
 
 // ---- The ctest slice ----
-// Each case runs Forerunner serially and at one or two parallel worker
-// settings; across the slice every spec_workers value in {1, 2, 4, 8} and
-// every block_workers and commit_workers value in {1, 2, 4} runs.
 
-OracleCase L1Default() {
+OracleCase L1(uint64_t seed, std::vector<NodeConfig> nodes) {
   OracleCase c;
-  c.seed = 0x51;
-  c.nodes = AllStrategies({Forerunner(8, 4, 2, true)});
-  c.replay = true;
-  c.traced = true;
-  c.default_shares = true;
+  c.seed = seed;
+  c.nodes = std::move(nodes);
+  return c;
+}
+
+OracleCase Scenario(const char* scenario, uint64_t seed, std::vector<NodeConfig> nodes) {
+  OracleCase c = L1(seed, std::move(nodes));
+  c.scenario = scenario;
   return c;
 }
 
 // Temporary forks: half of all rounds fork and the winner arrives 3 s later.
-OracleCase ForkChurn(size_t depth) {
-  OracleCase c;
-  c.seed = 0x0F0;
+OracleCase ForkChurn(uint64_t seed, size_t depth, std::vector<NodeConfig> nodes) {
+  OracleCase c = L1(seed, std::move(nodes));
   c.fork_rate = 0.5;
   c.fork_resolution_delay = 3.0;
   c.max_fork_depth = depth;
   c.min_fork_depth_seen = depth == 1 ? 1 : 2;
-  c.nodes = {kBaseline, Forerunner(1, 1, 1),
-             depth == 1 ? Forerunner(2, 2, 4, true) : Forerunner(4, 4, 2, true)};
   return c;
 }
 
-// Losing branches up to eight blocks deep inside an eight-deep undo window:
-// the largest case, so the slice runs one parallel Forerunner node only.
-OracleCase DepthEight(uint64_t seed, double duration, size_t sweep_depth) {
-  OracleCase c = ForkChurn(8);
-  c.seed = seed;
+// Losing branches up to eight blocks deep inside an eight-deep undo window.
+OracleCase DepthEight(uint64_t seed, double duration, std::vector<NodeConfig> nodes) {
+  OracleCase c = ForkChurn(seed, 8, std::move(nodes));
   c.duration = duration;
   c.tx_rate = 6.0;  // enough backlog for rivals to extend deep branches
   c.min_fork_depth_seen = 3;
-  c.nodes = {kBaseline, Forerunner(2, 2, 4, true)};
-  c.sweep_depth = sweep_depth;
   return c;
 }
 
-OracleCase HighContention() {
-  OracleCase c;
-  c.scenario = "R2";
-  c.seed = 0x22;
-  c.nodes = {kBaseline, Forerunner(1, 1, 1), Forerunner(2, 4, 2, true), Forerunner(4, 2, 4)};
-  c.expect_conflicts = true;
-  c.expect_bails = true;
-  return c;
+// Every case of the slice, keyed by the test that runs it. No two cases share
+// their inputs; across the slice every strategy, every spec_workers value in
+// {1, 2, 4, 8} and every block_workers and commit_workers value in {1, 2, 4}
+// runs.
+std::map<std::string, OracleCase> SliceCases() {
+  std::map<std::string, OracleCase> cases;
+  auto add = [&](const std::string& test, OracleCase c) -> OracleCase& {
+    return cases[test] = std::move(c);
+  };
+  OracleCase& l1 = add("OracleTest.L1DefaultForkRate",
+                       L1(0x51, {kBaseline, Forerunner(1, 1, 1), Forerunner(8, 4, 2, true)}));
+  l1.replay = true;
+  l1.traced = true;
+  l1.default_shares = true;
+  add("OracleTest.SingleBlockForkChurn",
+      ForkChurn(0x0F0, 1, {kBaseline, Forerunner(1, 1, 1), Forerunner(2, 2, 4, true)}));
+  add("OracleTest.DepthThreeForkChurn",
+      ForkChurn(0x0F0, 3, {kBaseline, Forerunner(1, 1, 1), Forerunner(4, 4, 2, true)}));
+  add("OracleTest.DepthEightForkChurn",
+      DepthEight(0x0F8, 45, {kBaseline, Forerunner(2, 2, 4, true)}))
+      .sweep_depth = 8;
+  OracleCase& r2 = add("OracleTest.HighContentionR2",
+                       Scenario("R2", 0x22, {kBaseline, Forerunner(1, 1, 1),
+                                             Forerunner(2, 4, 2, true)}));
+  r2.expect_conflicts = true;
+  r2.expect_bails = true;
+  add("OracleTest.ComputeHeavyR4",
+      Scenario("R4", 0x24, {kBaseline, Forerunner(1, 1, 1), Forerunner(4, 2, 4, true)}))
+      .duration = 20;
+
+  // The twelve cases below keep the suite and test names of the per-feature
+  // equivalence tests they replaced, because the tier-1 test list names them.
+  add("DiceIntegrationTest.BaselineAndForerunnerAgreeOnEveryRoot",
+      L1(0x52, {kBaseline, Forerunner(1, 1, 1, true)}))
+      .default_shares = true;
+  add("DiceIntegrationTest.AllFourStrategiesAgreeOnRoots",
+      L1(0x77, {kBaseline, NodeConfig{ExecStrategy::kPerfectMatch},
+                NodeConfig{ExecStrategy::kPerfectMulti}, Forerunner(1, 1, 1, true)}));
+  add("DiceIntegrationTest.TemporaryForksExecuteAndReorgConsistently",
+      ForkChurn(0x49, 1, {kBaseline, Forerunner(1, 1, 1, true)}));
+  add("DiceIntegrationTest.DepthEightChurnWithVersionedStoreMatchesTrieOnly",
+      DepthEight(0x0D0, 45, {kBaseline, Forerunner(1, 1, 1, true)}));
+  add("DiceIntegrationTest.SimulationIsDeterministic",
+      L1(0x1234, {NodeConfig{ExecStrategy::kBaseline, 1, 1, 1, true}}))
+      .duration = 25;
+  // The sweep needs eight main-chain blocks, not deep branches.
+  OracleCase& rollback =
+      add("ChainRollbackTest.DepthEightRollbackWithVersionedStoreMatchesTrieOnly",
+          DepthEight(0x0F6, 45, {kBaseline, Forerunner(1, 1, 2, true)}));
+  rollback.min_fork_depth_seen = 1;
+  rollback.sweep_depth = 8;
+  // Branches up to the default four-block undo window.
+  OracleCase& window = add("VersionedNodeTest.MatchesPlainNodeAndFollowsRollbacks",
+                           ForkChurn(0x43, 4, {kBaseline, Forerunner(2, 1, 2, true)}));
+  window.min_fork_depth_seen = 1;
+  window.sweep_depth = 4;
+  add("VersionedNodeTest.RootsMatchAtAnyCommitWorkerCount",
+      Scenario("R3", 0x23, {kBaseline, Forerunner(1, 1, 1), Forerunner(1, 1, 2),
+                            Forerunner(1, 1, 4, true)}));
+  add("BlockStmNodeTest.RootsIdenticalAcrossWorkerCounts",
+      Scenario("R2", 0x2C, {kBaseline, Forerunner(1, 1, 1), Forerunner(1, 2, 1, true),
+                            Forerunner(1, 4, 1)}))
+      .expect_conflicts = true;
+  add("BlockStmNodeTest.SpeculationFeedsOptimisticAttempts",
+      L1(0x53, {kBaseline, Forerunner(1, 1, 1), Forerunner(2, 2, 1, true)}))
+      .default_shares = true;
+  add("SpecPoolDeterminismTest.IdenticalOutcomesForWorkerCounts128",
+      L1(0x5BEC, {kBaseline, Forerunner(1, 1, 1), Forerunner(2, 1, 1), Forerunner(8, 1, 1, true)}))
+      .tx_rate = 2.5;
+  OracleCase& replay = add("ReplayTest.ReplayReproducesTheLiveRun",
+                           L1(0x3E0, {kBaseline, Forerunner(4, 1, 1, true)}));
+  replay.duration = 35;
+  replay.n_users = 50;
+  replay.replay = true;
+  return cases;
 }
 
-OracleCase ComputeHeavy() {
-  OracleCase c;
-  c.scenario = "R4";
-  c.seed = 0x24;
-  c.duration = 20;
-  c.nodes = {kBaseline, Forerunner(1, 1, 1), Forerunner(4, 2, 4, true)};
-  return c;
-}
+// Runs one slice case.
+class SliceTest : public ::testing::Test {
+ public:
+  explicit SliceTest(OracleCase c) : case_(std::move(c)) {}
+  void TestBody() override { RunCase(case_); }
 
-TEST(OracleTest, L1DefaultForkRate) { RunCase(L1Default()); }
-TEST(OracleTest, SingleBlockForkChurn) { RunCase(ForkChurn(1)); }
-TEST(OracleTest, DepthThreeForkChurn) { RunCase(ForkChurn(3)); }
-TEST(OracleTest, DepthEightForkChurn) { RunCase(DepthEight(0x0F8, 45, 8)); }
-TEST(OracleTest, HighContentionR2) { RunCase(HighContention()); }
-TEST(OracleTest, ComputeHeavyR4) { RunCase(ComputeHeavy()); }
+ private:
+  OracleCase case_;
+};
 
-// The slice's matrix, checked without running it: every strategy, every
-// worker value, and one persisted node per case.
+// Registers every slice case as the test its key names. The factory returns
+// the plain ::testing::Test that TEST uses, so registered cases and
+// SliceCoversTheMatrix can share the OracleTest suite.
+[[maybe_unused]] const bool kSliceRegistered = [] {
+  for (const auto& [test, c] : SliceCases()) {
+    const size_t dot = test.find('.');
+    ::testing::RegisterTest(test.substr(0, dot).c_str(), test.substr(dot + 1).c_str(), nullptr,
+                            nullptr, __FILE__, __LINE__,
+                            [c]() -> ::testing::Test* { return new SliceTest(c); });
+  }
+  return true;
+}();
+
+// The slice's matrix, checked without running it: every case has inputs of
+// its own, every strategy and worker value runs, and every case persists one
+// node.
 TEST(OracleTest, SliceCoversTheMatrix) {
+  std::set<decltype(OracleCase{}.Inputs())> inputs;
   std::set<ExecStrategy> strategies;
   std::set<size_t> spec;
   std::set<size_t> block;
   std::set<size_t> commit;
-  for (const OracleCase& c : {L1Default(), ForkChurn(1), ForkChurn(3),
-                              DepthEight(0x0F8, 45, 8), HighContention(), ComputeHeavy()}) {
+  for (const auto& [test, c] : SliceCases()) {
+    SCOPED_TRACE(test);
+    EXPECT_TRUE(inputs.insert(c.Inputs()).second) << "another case runs the same inputs";
     EXPECT_EQ(c.nodes[0].strategy, ExecStrategy::kBaseline);
     EXPECT_EQ(std::count_if(c.nodes.begin(), c.nodes.end(),
                             [](const NodeConfig& n) { return n.persist; }),
@@ -585,8 +664,12 @@ std::vector<NodeConfig> Grid(size_t spec_workers) {
 // spec_workers value each over the full grid. Bails and fork depth are
 // properties of a seed, so only the slice pins them.
 TEST(OracleSoakTest, DISABLED_FullWorkerGrid) {
+  const std::map<std::string, OracleCase> slice = SliceCases();
   for (auto [c, spec] : std::vector<std::pair<OracleCase, size_t>>{
-           {L1Default(), 1}, {HighContention(), 2}, {ComputeHeavy(), 4}, {ForkChurn(3), 8}}) {
+           {slice.at("OracleTest.L1DefaultForkRate"), 1},
+           {slice.at("OracleTest.HighContentionR2"), 2},
+           {slice.at("OracleTest.ComputeHeavyR4"), 4},
+           {slice.at("OracleTest.DepthThreeForkChurn"), 8}}) {
     SCOPED_TRACE(std::string(c.scenario) + " at spec_workers " + std::to_string(spec));
     c.seed += 0x1000;
     c.duration *= 1.5;
@@ -598,8 +681,9 @@ TEST(OracleSoakTest, DISABLED_FullWorkerGrid) {
 }
 
 TEST(OracleSoakTest, DISABLED_DepthEightFullSize) {
-  OracleCase c = DepthEight(0x0F0, 90, 5);
-  c.nodes = AllStrategies({Forerunner(2, 2, 2), Forerunner(4, 4, 4, true)});
+  OracleCase c =
+      DepthEight(0x0F0, 90, AllStrategies({Forerunner(2, 2, 2), Forerunner(4, 4, 4, true)}));
+  c.sweep_depth = 5;
   RunCase(c);
 }
 

@@ -104,31 +104,6 @@ TEST_F(ReplayTest, DeserializeRejectsCorruptInput) {
   EXPECT_FALSE(DeserializeRecording(text, &partial));
 }
 
-TEST_F(ReplayTest, ReplayReproducesTheLiveRun) {
-  // Replay against fresh baseline + Forerunner nodes.
-  Node baseline(ScenarioNodeOptions(cfg_, ExecStrategy::kBaseline, sim_->miners()), genesis_);
-  Node forerunner(ScenarioNodeOptions(cfg_, ExecStrategy::kForerunner, sim_->miners()), genesis_);
-  SimReport replayed = ReplayRecording(recording_, {&baseline, &forerunner});
-  EXPECT_TRUE(replayed.roots_consistent);
-  EXPECT_EQ(replayed.blocks, live_report_.blocks);
-  EXPECT_EQ(replayed.txs_packed, live_report_.txs_packed);
-  // Identical per-transaction outcomes vs the live baseline.
-  ASSERT_EQ(replayed.nodes[0].records.size(), live_report_.nodes[0].records.size());
-  for (size_t i = 0; i < replayed.nodes[0].records.size(); ++i) {
-    EXPECT_EQ(replayed.nodes[0].records[i].tx_id, live_report_.nodes[0].records[i].tx_id);
-    EXPECT_EQ(replayed.nodes[0].records[i].status, live_report_.nodes[0].records[i].status);
-    EXPECT_EQ(replayed.nodes[0].records[i].gas_used,
-              live_report_.nodes[0].records[i].gas_used);
-  }
-  EXPECT_EQ(baseline.head_root(), forerunner.head_root());
-  // The Forerunner node accelerated a healthy share of the replayed traffic.
-  size_t accelerated = 0;
-  for (const TxExecRecord& r : replayed.nodes[1].records) {
-    accelerated += r.accelerated ? 1 : 0;
-  }
-  EXPECT_GT(static_cast<double>(accelerated) / static_cast<double>(replayed.txs_packed), 0.5);
-}
-
 TEST_F(ReplayTest, ReplayedReportCarriesEveryNodeStat) {
   // A replay fills each node's stats the way a live DiCE run does.
   NodeOptions options = ScenarioNodeOptions(cfg_, ExecStrategy::kForerunner, sim_->miners());

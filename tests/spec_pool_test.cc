@@ -1,10 +1,7 @@
-// Determinism under parallelism: the parallel speculation engine must produce
-// identical simulation outcomes — state roots, per-tx acceleration outcomes,
-// AP statistics and the Figure 15 synthesis-stat stream — for any worker
-// count, because jobs execute against an immutable head snapshot and merge in
-// prediction order on the coordinator. Also covers the SpecPool unit behaviour
-// (batch draining, CPU wall, per-worker accounting, cold reads spun where they
-// happen).
+// The SpecPool unit behaviour: batch draining, CPU wall, per-worker
+// accounting, and cold reads spun where they happen. That a whole run counts
+// the same outcomes at any worker count is the §5.2 oracle's
+// (tests/oracle_test.cc).
 #include "src/forerunner/spec_pool.h"
 
 #include <gtest/gtest.h>
@@ -63,106 +60,6 @@ struct PoolWorld {
   std::vector<TimedTx> traffic;
   BlockContext header;
 };
-
-struct RunOutcome {
-  SimReport report;
-  Hash head_root;
-  uint64_t futures_speculated = 0;
-  uint64_t synthesis_failures = 0;
-  std::vector<SynthesisStats> synthesis_stats;
-  std::vector<ApStats> ap_stats;
-  std::vector<Node::SpecSummary> executed;
-};
-
-RunOutcome RunWithWorkers(size_t workers, uint64_t seed = 0x5bec) {
-  ScenarioConfig cfg = SmallScenario(seed);
-  Workload workload(cfg);
-  auto traffic = workload.GenerateTraffic();
-  DiceSimulator sim(cfg.dice, traffic);
-  auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-
-  auto make_options = [&](ExecStrategy strategy) {
-    NodeOptions options = ScenarioNodeOptions(cfg, strategy, sim.miners());
-    options.spec_workers = workers;
-    // Decouple AP availability from measured wall time so the comparison
-    // across worker counts is exact (threading changes timings, never values).
-    options.speculation_time_scale = 0;
-    return options;
-  };
-
-  Node baseline(make_options(ExecStrategy::kBaseline), genesis);
-  Node forerunner(make_options(ExecStrategy::kForerunner), genesis);
-  RunOutcome out;
-  out.report = sim.Run({&baseline, &forerunner}, cfg.name);
-  out.head_root = forerunner.head_root();
-  out.futures_speculated = forerunner.futures_speculated();
-  out.synthesis_failures = forerunner.synthesis_failures();
-  out.synthesis_stats = forerunner.synthesis_stats();
-  out.ap_stats = forerunner.ap_stats();
-  out.executed = forerunner.executed_speculations();
-  return out;
-}
-
-void ExpectSameOutcome(const RunOutcome& a, const RunOutcome& b, size_t workers) {
-  SCOPED_TRACE(testing::Message() << "workers=" << workers);
-  EXPECT_TRUE(a.report.roots_consistent);
-  EXPECT_TRUE(b.report.roots_consistent);
-  EXPECT_EQ(a.head_root, b.head_root);
-  EXPECT_EQ(a.report.blocks, b.report.blocks);
-  EXPECT_EQ(a.futures_speculated, b.futures_speculated);
-  EXPECT_EQ(a.synthesis_failures, b.synthesis_failures);
-
-  // Per-tx acceleration outcomes on the Forerunner node (node 1).
-  const auto& ra = a.report.nodes[1].records;
-  const auto& rb = b.report.nodes[1].records;
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].tx_id, rb[i].tx_id) << "record " << i;
-    EXPECT_EQ(ra[i].speculated, rb[i].speculated) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].accelerated, rb[i].accelerated) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].perfect, rb[i].perfect) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].gas_used, rb[i].gas_used) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].status, rb[i].status) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].instrs_executed, rb[i].instrs_executed) << "tx " << ra[i].tx_id;
-    EXPECT_EQ(ra[i].instrs_skipped, rb[i].instrs_skipped) << "tx " << ra[i].tx_id;
-  }
-
-  // The Figure 15 synthesis-stat stream, element-wise.
-  ASSERT_EQ(a.synthesis_stats.size(), b.synthesis_stats.size());
-  for (size_t i = 0; i < a.synthesis_stats.size(); ++i) {
-    EXPECT_EQ(a.synthesis_stats[i].evm_trace_len, b.synthesis_stats[i].evm_trace_len);
-    EXPECT_EQ(a.synthesis_stats[i].final_total, b.synthesis_stats[i].final_total);
-    EXPECT_EQ(a.synthesis_stats[i].final_fast_path, b.synthesis_stats[i].final_fast_path);
-    EXPECT_EQ(a.synthesis_stats[i].guards_inserted, b.synthesis_stats[i].guards_inserted);
-  }
-
-  // The §5.5 AP-stat stream, element-wise.
-  ASSERT_EQ(a.ap_stats.size(), b.ap_stats.size());
-  for (size_t i = 0; i < a.ap_stats.size(); ++i) {
-    EXPECT_EQ(a.ap_stats[i].paths, b.ap_stats[i].paths);
-    EXPECT_EQ(a.ap_stats[i].nodes, b.ap_stats[i].nodes);
-    EXPECT_EQ(a.ap_stats[i].guard_nodes, b.ap_stats[i].guard_nodes);
-    EXPECT_EQ(a.ap_stats[i].shortcut_nodes, b.ap_stats[i].shortcut_nodes);
-    EXPECT_EQ(a.ap_stats[i].memo_entries, b.ap_stats[i].memo_entries);
-  }
-
-  ASSERT_EQ(a.executed.size(), b.executed.size());
-  for (size_t i = 0; i < a.executed.size(); ++i) {
-    EXPECT_EQ(a.executed[i].tx_id, b.executed[i].tx_id);
-    EXPECT_EQ(a.executed[i].futures, b.executed[i].futures);
-    EXPECT_EQ(a.executed[i].paths, b.executed[i].paths);
-  }
-}
-
-TEST(SpecPoolDeterminismTest, IdenticalOutcomesForWorkerCounts128) {
-  RunOutcome one = RunWithWorkers(1);
-  EXPECT_GT(one.report.blocks, 0u);
-  EXPECT_GT(one.futures_speculated, 0u);
-  RunOutcome two = RunWithWorkers(2);
-  RunOutcome eight = RunWithWorkers(8);
-  ExpectSameOutcome(one, two, 2);
-  ExpectSameOutcome(one, eight, 8);
-}
 
 TEST(SpecPoolTest, WorkerAccountingAndWallTime) {
   PoolWorld world(0x1111);

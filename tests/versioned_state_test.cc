@@ -1,21 +1,18 @@
 // Tests of the multi-version snapshot store: handle acquisition and pinned
 // reads, fork commits without invalidation, retention folding (including
 // pinned-handle deferral), stale-parent refusal staying local, concurrent
-// readers pinning views through commit/fork churn (the TSan target), and
-// node-level identity of store-backed nodes against the trie-only reference
-// replay across rollbacks and commit-worker counts.
+// readers pinning views through commit/fork churn (the TSan target). Node
+// roots against the trie-only reference replay, across rollbacks and
+// commit-worker counts, are the §5.2 oracle's (tests/oracle_test.cc).
 #include "src/state/versioned_state.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/crypto/keccak.h"
-#include "src/forerunner/node.h"
-#include "src/replay/recording.h"
 
 namespace frn {
 namespace {
@@ -218,103 +215,6 @@ TEST(VersionedStateTest, ConcurrentReadersPinThroughCommitAndForkChurn) {
   }
   EXPECT_EQ(store.stats().invalidations, 0u);
   EXPECT_EQ(store.stats().commits, kRounds + kRounds / 7);
-}
-
-// ---- Node-level identity: store-backed nodes vs the trie-only replay ----
-
-class VersionedNodeTest : public ::testing::Test {
- protected:
-  void SetUp() override { sender_ = Address::FromId(1); }
-
-  NodeOptions BaseOptions() {
-    NodeOptions options;
-    options.store.cold_read_latency = std::chrono::nanoseconds(0);
-    options.speculation_time_scale = 0;  // exact cross-config reproducibility
-    return options;
-  }
-
-  void Genesis(StateDb* state) const {
-    state->AddBalance(sender_, U256::Exp(U256(10), U256(21)));
-  }
-
-  std::unique_ptr<Node> MakeNode(const NodeOptions& options) {
-    return std::make_unique<Node>(options, [this](StateDb* state) { Genesis(state); });
-  }
-
-  // The trie-only reference roots of blocks 1..n.
-  std::vector<Hash> ReferenceRoots(const std::vector<Block>& blocks) {
-    return ReplayTrieOnly([this](StateDb* state) { Genesis(state); }, blocks);
-  }
-
-  Block MakeBlock(uint64_t number) {
-    Transaction tx;
-    tx.id = number;
-    tx.sender = sender_;
-    tx.to = Address::FromId(2);
-    tx.value = U256(5);
-    tx.nonce = number - 1;
-    tx.gas_limit = 30'000;
-    tx.gas_price = U256(1'000'000'000);
-    Block block;
-    block.header.number = number;
-    block.header.timestamp = 1'700'000'000 + number * 13;
-    block.txs = {tx};
-    return block;
-  }
-
-  Address sender_;
-};
-
-TEST_F(VersionedNodeTest, MatchesPlainNodeAndFollowsRollbacks) {
-  auto node = MakeNode(BaseOptions());
-  ASSERT_TRUE(node->view_active());
-
-  std::vector<Block> blocks;
-  for (uint64_t n = 1; n <= 5; ++n) {
-    blocks.push_back(MakeBlock(n));
-  }
-  const std::vector<Hash> roots = ReferenceRoots(blocks);
-  for (uint64_t n = 1; n <= 5; ++n) {
-    ASSERT_EQ(node->ExecuteBlock(blocks[n - 1], 13.0 * n).state_root, roots[n - 1])
-        << "block " << n;
-  }
-
-  // A depth-2 reorg is a handle swap; the node lands on the reference root
-  // and replays to identical roots.
-  node->RollbackHead();
-  node->RollbackHead();
-  EXPECT_EQ(node->head_root(), roots[2]);
-  EXPECT_TRUE(node->view_active());
-  for (uint64_t n = 4; n <= 5; ++n) {
-    EXPECT_EQ(node->ExecuteBlock(blocks[n - 1], 100.0 + n).state_root, roots[n - 1]);
-  }
-  EXPECT_EQ(node->versioned_stats().invalidations, 0u);
-  StateDbStats reads = node->chain_state_stats();
-  EXPECT_GT(reads.versioned_hits, 0u);
-  EXPECT_EQ(reads.account_trie_reads + reads.storage_trie_reads, 0u);
-}
-
-TEST_F(VersionedNodeTest, RootsMatchAtAnyCommitWorkerCount) {
-  NodeOptions w2 = BaseOptions();
-  w2.chain.commit_workers = 2;
-  NodeOptions w4 = BaseOptions();
-  w4.chain.commit_workers = 4;
-  auto node1 = MakeNode(BaseOptions());
-  auto node2 = MakeNode(w2);
-  auto node4 = MakeNode(w4);
-  std::vector<Block> blocks;
-  for (uint64_t n = 1; n <= 5; ++n) {
-    blocks.push_back(MakeBlock(n));
-  }
-  const std::vector<Hash> roots = ReferenceRoots(blocks);
-  for (uint64_t n = 1; n <= 5; ++n) {
-    const Block& block = blocks[n - 1];
-    EXPECT_EQ(node1->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
-    EXPECT_EQ(node2->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
-    EXPECT_EQ(node4->ExecuteBlock(block, 13.0 * n).state_root, roots[n - 1]);
-  }
-  EXPECT_EQ(node4->versioned_stats().invalidations, 0u);
-  EXPECT_TRUE(node4->view_active());
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 // Bad input is rejected, never defaulted: an unknown subcommand, flag,
 // scenario (on the command line or named by a recording) or strategy, or a
 // malformed number, prints the error and the usage and exits 2.
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -295,19 +294,12 @@ int main(int argc, char** argv) {
     auto traffic = workload.GenerateTraffic();
     DiceSimulator sim(cfg.dice, traffic);
     auto genesis = [&](StateDb* state) { workload.InitGenesis(state); };
-    auto make_options = [&](ExecStrategy s) {
-      NodeOptions options = ScenarioNodeOptions(cfg, s, sim.miners());
-      // Deep-fork runs need a matching undo window to unwind the losing branch.
-      options.chain.max_reorg_depth =
-          std::max(options.chain.max_reorg_depth, cfg.dice.max_fork_depth);
-      return options;
-    };
-    NodeOptions strategy_options = make_options(strategy);
+    NodeOptions strategy_options = ScenarioNodeOptions(cfg, strategy, sim.miners());
     strategy_options.store.persist = persist_log.get();
     if (commit_workers > 0) {
       strategy_options.chain.commit_workers = commit_workers;
     }
-    Node baseline(make_options(ExecStrategy::kBaseline), genesis);
+    Node baseline(ScenarioNodeOptions(cfg, ExecStrategy::kBaseline, sim.miners()), genesis);
     Node node(strategy_options, genesis);
     SimReport report = sim.Run({&baseline, &node}, cfg.name);
     PrintSummary(report, 1);

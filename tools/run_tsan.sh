@@ -3,9 +3,10 @@
 # and runs the concurrency-sensitive tests: the persistent WorkerPool every
 # parallel stage runs on, the snapshot-reader / KvStore stress test (readers
 # pinning VersionedState handles while commits land), the parallel
-# speculation engine's pool and its worker-count determinism test, the §5.2
-# oracle's slice (nodes at every speculation, block and commit worker count
-# on one DiCE run, one of them with the tracer armed), the full forerunner
+# speculation engine's pool, the §5.2 oracle's slice (nodes at every
+# speculation, block and commit worker count on DiCE runs, one of them with
+# the tracer armed; its cases include the worker-count determinism, Block-STM
+# and commit-worker node tests by their old names), the full forerunner
 # node test, the node-subsystem tests (mempool admission and the chain
 # manager's multi-depth reorgs around the worker pool), the versioned
 # snapshot store (readers pinning handles through commit/fork churn, the
