@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "src/common/clock.h"
 #include "src/common/worker_pool.h"
@@ -455,6 +456,18 @@ void StateDb::ApplyWriteSet(const TxWriteSet& ws, const Address& fee_account) {
   }
 }
 
+Hash StateDb::FoldTrie(const Hash& root, const std::vector<TrieWrite>& batch,
+                       KvStore::StagedWrites* nodes) {
+  if (versioned_ != nullptr) {
+    return trie_->Update(root, batch, nodes);
+  }
+  Hash folded = root;
+  for (const auto& [key, value] : batch) {
+    folded = trie_->Put(folded, key, value);
+  }
+  return folded;
+}
+
 Hash StateDb::Commit() {
   Hash state_root = root_.IsZero() ? Mpt::EmptyRoot() : root_;
 
@@ -468,7 +481,7 @@ Hash StateDb::Commit() {
     StorageCache* cache = nullptr;
     Account* account = nullptr;
     Hash new_root;
-    KvStore::StagedWrites staged;
+    KvStore::StagedWrites nodes;
     double cpu_seconds = 0;  // the folding thread's CPU time, cold-read spins included
   };
   std::vector<StorageJob> jobs;
@@ -494,28 +507,24 @@ Hash StateDb::Commit() {
 
   // Phase 2: fold + hash each account's storage subtrie. The subtries are
   // disjoint and content-addressed, so any schedule produces the same roots;
-  // node blobs are staged per job (reads of a just-staged node are free, like
-  // a just-written hot node on the serial path) and batch-applied below. A
+  // a batched fold keeps its node blobs in its job until the apply below. A
   // fold spins its own cold reads, so the stopwatch around this phase is the
   // fold wall and a job's thread CPU is its whole cost.
   auto fold = [&](size_t i, size_t /*worker*/) {
     StorageJob& job = jobs[i];
     ThreadCpuTimer cpu;
-    KvStore::StageScope stage(&job.staged);
+    // MPT roots are insertion-order independent (history-independent
+    // structure), so any batch order folds to the same subtrie root. On the
+    // per-key path the order would perturb interior-node write *counts*,
+    // which is why this site is frozen with a suppression rather than sorted.
+    std::vector<TrieWrite> batch;
+    batch.reserve(job.cache->current.size());
+    for (const auto& [key, value] : job.cache->current) {  // frn:allow(unordered-iter)
+      batch.emplace_back(StorageKey(key), value.IsZero() ? Bytes{} : RlpEncoder::EncodeUint(value));
+    }
     Hash storage_root =
         job.account->storage_root.IsZero() ? Mpt::EmptyRoot() : job.account->storage_root;
-    // MPT roots are insertion-order independent (history-independent
-    // structure), so any iteration order folds to the same subtrie root.
-    // Reordering would perturb interior-node write *counts*, which is why
-    // this site is frozen with a suppression rather than sorted.
-    for (const auto& [key, value] : job.cache->current) {  // frn:allow(unordered-iter)
-      Bytes encoded;
-      if (!value.IsZero()) {
-        encoded = RlpEncoder::EncodeUint(value);
-      }
-      storage_root = trie_->Put(storage_root, StorageKey(key), encoded);
-    }
-    job.new_root = storage_root;
+    job.new_root = FoldTrie(storage_root, batch, &job.nodes);
     job.cpu_seconds = cpu.ElapsedSeconds();
   };
   Stopwatch fold_watch;
@@ -546,22 +555,6 @@ Hash StateDb::Commit() {
   }
   ++commit_stats_.commits;
 
-  // Phase 3: one batched write of every staged node blob (single exclusive
-  // lock, deterministic job order), then fold results into the accounts.
-  KvStore::StagedWrites batch;
-  for (StorageJob& job : jobs) {
-    for (auto& kv : job.staged.blobs) {
-      auto [it, inserted] = batch.index.emplace(kv.first, batch.blobs.size());
-      if (inserted) {
-        batch.blobs.push_back(std::move(kv));
-      } else {
-        batch.blobs[it->second].second = std::move(kv.second);
-      }
-    }
-    job.staged.blobs.clear();
-    job.staged.index.clear();
-  }
-  trie_->store()->ApplyStaged(std::move(batch));
   // The loop below folds dirty slots into a per-key map (cache.committed):
   // distinct-key writes commute, so the result is identical in any order.
   for (auto& [addr, cache] : storage_) {  // frn:allow(unordered-iter)
@@ -573,27 +566,40 @@ Hash StateDb::Commit() {
     }
     cache.current.clear();
   }
+  KvStore::StagedWrites nodes;
   for (StorageJob& job : jobs) {
     job.account->storage_root = job.new_root;
     job.account->exists = true;
+    std::move(job.nodes.begin(), job.nodes.end(), std::back_inserter(nodes));
   }
 
-  // Phase 4: fold the account trie serially — it is a single dependent chain
-  // of Puts over one trie, and writing clean accounts is harmless (same
-  // bytes -> same node hashes).
+  // Phase 3: fold the account trie in one batch — writing a clean account
+  // changes no node (same bytes -> same hashes).
+  Stopwatch account_watch;
   std::vector<std::pair<Address, Account>> versioned_accounts;
+  std::vector<TrieWrite> account_batch;
   // Same argument as the storage fold: the account trie is
-  // history-independent, so the chain of Puts reaches the same state_root in
-  // any order, and versioned_accounts lands in the store's per-key map.
+  // history-independent, so the batch reaches the same state_root in any
+  // order, and versioned_accounts lands in the store's per-key map.
   for (auto& [addr, account] : accounts_) {  // frn:allow(unordered-iter)
     if (!account.exists) {
       continue;
     }
-    state_root = trie_->Put(state_root, AccountKey(addr), EncodeAccount(account));
+    account_batch.emplace_back(AccountKey(addr), EncodeAccount(account));
     if (versioned_ != nullptr) {
       versioned_accounts.emplace_back(addr, account);
     }
   }
+  state_root = FoldTrie(state_root, account_batch, &nodes);
+  const double account_fold = account_watch.ElapsedSeconds();
+  commit_stats_.account_fold_seconds += account_fold;
+  static SecondsCounter* account_fold_counter =
+      MetricsRegistry::Global().GetSeconds("commit.account_fold_seconds");
+  account_fold_counter->Add(account_fold);
+
+  // Phase 4: one batched write of every folded node blob (a single exclusive
+  // lock; storage folds in job order, then the account fold).
+  trie_->store()->ApplyStaged(std::move(nodes));
 
   // Phase 5: publish this block's forward delta as a new version and re-pin
   // the view at it.

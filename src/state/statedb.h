@@ -86,15 +86,17 @@ struct StateDbStats {
   }
 };
 
-// Cost accounting for the commit's storage-subtrie folds, accumulated per
-// StateDb instance across its Commit() calls. The wall is a stopwatch around
-// the fold phase; the serial figure sums each job's thread CPU time, which
-// includes the cold-read latency the folding thread spun.
+// Cost accounting for the commit's trie folds, accumulated per StateDb
+// instance across its Commit() calls. The walls are stopwatches around the
+// storage-fold phase and around the account fold; the serial figure sums each
+// storage job's thread CPU time, which includes the cold-read latency the
+// folding thread spun.
 struct CommitStats {
   uint64_t commits = 0;
   uint64_t fold_jobs = 0;           // storage-subtrie fold jobs dispatched
   double fold_serial_seconds = 0;   // sum of per-job thread CPU
-  double fold_wall_seconds = 0;     // measured fold-phase wall, summed over commits
+  double fold_wall_seconds = 0;     // measured storage-fold wall, summed over commits
+  double account_fold_seconds = 0;  // measured account-fold wall, summed over commits
 };
 
 struct StateVersion;
@@ -257,7 +259,10 @@ class StateDb : public WorldState {
 
   // ---- Commit ----
   // Folds all dirty values into the tries; returns the new state root.
-  // The StateDb remains usable and now reads through the new root.
+  // The StateDb remains usable and now reads through the new root. With a
+  // versioned store attached, each trie takes one batched Mpt::Update and
+  // every new node blob lands in the KvStore in one ApplyStaged; store-less
+  // instances fold key by key with Mpt::Put, the reference path.
   Hash Commit();
 
   // ---- Prefetch (off the critical path) ----
@@ -295,6 +300,11 @@ class StateDb : public WorldState {
 
   // Walks (warming) the account's trie path and decodes what it finds.
   Account WalkAccount(const Address& addr);
+  // Folds one trie's batch (see Commit): Mpt::Update, whose node blobs are
+  // appended to `*nodes`, when a versioned store is attached; otherwise one
+  // Mpt::Put per write, straight into the store.
+  Hash FoldTrie(const Hash& root, const std::vector<TrieWrite>& batch,
+                KvStore::StagedWrites* nodes);
 
   Mpt* trie_;
   Hash root_;

@@ -7,11 +7,6 @@ namespace frn {
 
 namespace {
 
-// Per-thread write-staging buffer installed by KvStore::StageScope. A commit
-// worker folds exactly one store's subtries at a time, so a single slot
-// suffices here too.
-thread_local KvStore::StagedWrites* tls_staged = nullptr;
-
 // Busy-waits for the given duration (models I/O latency without yielding,
 // matching the discrete-time benchmark methodology).
 void SpinFor(std::chrono::nanoseconds duration) {
@@ -24,12 +19,6 @@ void SpinFor(std::chrono::nanoseconds duration) {
 }
 
 }  // namespace
-
-KvStore::StageScope::StageScope(StagedWrites* staged) : previous_(tls_staged) {
-  tls_staged = staged;
-}
-
-KvStore::StageScope::~StageScope() { tls_staged = previous_; }
 
 KvStore::KvStore() : KvStore(Options{}) {}
 
@@ -53,14 +42,6 @@ KvStore::HotShard& KvStore::ShardFor(const Hash& key) const {
 
 std::optional<Bytes> KvStore::Get(const Hash& key) {
   reads_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_staged != nullptr) {
-    // A node this thread staged reads back without miss latency — on the
-    // serial path a just-written node is hot for the same reason.
-    auto it = tls_staged->index.find(key);
-    if (it != tls_staged->index.end()) {
-      return tls_staged->blobs[it->second].second;
-    }
-  }
   std::optional<Bytes> value;
   {
     ReaderLock lock(data_mutex_);
@@ -84,15 +65,6 @@ std::optional<Bytes> KvStore::Get(const Hash& key) {
 
 void KvStore::Put(const Hash& key, Bytes value) {
   writes_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_staged != nullptr) {
-    auto [it, inserted] = tls_staged->index.emplace(key, tls_staged->blobs.size());
-    if (inserted) {
-      tls_staged->blobs.emplace_back(key, std::move(value));
-    } else {
-      tls_staged->blobs[it->second].second = std::move(value);
-    }
-    return;
-  }
   {
     MutexLock lock(data_mutex_);
     auto [it, inserted] = data_.try_emplace(key, std::move(value));
@@ -111,9 +83,10 @@ void KvStore::ApplyStaged(StagedWrites&& staged) {
   if (staged.empty()) {
     return;
   }
+  writes_.fetch_add(staged.size(), std::memory_order_relaxed);
   {
     MutexLock lock(data_mutex_);
-    for (auto& [key, value] : staged.blobs) {
+    for (auto& [key, value] : staged) {
       auto [it, inserted] = data_.try_emplace(key, std::move(value));
       if (!inserted) {
         it->second = std::move(value);
@@ -122,11 +95,10 @@ void KvStore::ApplyStaged(StagedWrites&& staged) {
       }
     }
   }
-  for (const auto& kv : staged.blobs) {
+  for (const auto& kv : staged) {
     Touch(kv.first);
   }
-  staged.blobs.clear();
-  staged.index.clear();
+  staged.clear();
 }
 
 bool KvStore::Contains(const Hash& key) const {

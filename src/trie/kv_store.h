@@ -79,34 +79,13 @@ class KvStore {
   void ResetStats();
   size_t size() const;
 
-  // Write staging for the parallel commit pipeline: node blobs produced by
-  // independent subtrie folds are buffered per worker and applied to the
-  // shared map in one exclusive-lock batch. While a StageScope is installed
-  // on a thread, Put() appends to the buffer instead of taking the data lock,
-  // and Get() consults the buffer first — a just-staged node reads back
-  // without miss latency, exactly like a just-written node on the serial
-  // path (newly written nodes are hot).
-  struct StagedWrites {
-    std::vector<std::pair<Hash, Bytes>> blobs;  // in Put order
-    std::unordered_map<Hash, size_t, HashHasher> index;
+  // Node blobs a commit fold produced (Mpt::Update), in the order the fold
+  // emitted them. They are invisible to readers until applied.
+  using StagedWrites = std::vector<std::pair<Hash, Bytes>>;
 
-    bool empty() const { return blobs.empty(); }
-  };
-
-  class StageScope {
-   public:
-    explicit StageScope(StagedWrites* staged);
-    ~StageScope();
-    StageScope(const StageScope&) = delete;
-    StageScope& operator=(const StageScope&) = delete;
-
-   private:
-    StagedWrites* previous_;
-  };
-
-  // Applies a staging buffer to the store under a single exclusive lock, in
-  // Put order, routing each blob through the same hot-set occupancy
-  // accounting as a direct Put. Writes were already counted when staged.
+  // Applies staged blobs to the store under a single exclusive lock, in
+  // order, counting each as a write and routing it through the same hot-set
+  // occupancy accounting as a direct Put.
   void ApplyStaged(StagedWrites&& staged);
 
  private:

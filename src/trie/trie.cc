@@ -1,6 +1,7 @@
 #include "src/trie/trie.h"
 
 #include <cassert>
+#include <deque>
 
 #include "src/crypto/keccak.h"
 #include "src/rlp/rlp.h"
@@ -122,7 +123,7 @@ bool Mpt::DecodeNodeBlob(const Bytes& blob, Node* out) {
   return false;
 }
 
-Hash Mpt::StoreNode(const Node& node) {
+Bytes Mpt::EncodeNode(const Node& node) {
   std::vector<Bytes> items;
   switch (node.kind) {
     case Node::Kind::kLeaf:
@@ -147,7 +148,11 @@ Hash Mpt::StoreNode(const Node& node) {
       items.push_back(RlpEncoder::EncodeBytes(node.value));
       break;
   }
-  Bytes encoded = RlpEncoder::EncodeList(items);
+  return RlpEncoder::EncodeList(items);
+}
+
+Hash Mpt::StoreNode(const Node& node) {
+  Bytes encoded = EncodeNode(node);
   Hash ref = Keccak256(encoded);
   store_->Put(ref, std::move(encoded));
   return ref;
@@ -422,6 +427,293 @@ Hash Mpt::Normalize(const Node& node) {
     return StoreNode(merged);
   }
   return StoreNode(node);
+}
+
+// Update's working tree, after Geth's trie of dirty nodes. Every stored node
+// the batch reaches is loaded and decoded once into an arena; the writes then
+// mutate decoded nodes, following PutAt, DeleteAt and Normalize case for case,
+// and Commit encodes, hashes and emits each surviving dirty node once,
+// children before parents. Dirty nodes the batch later replaces are never
+// reached from the root, so they are never encoded.
+class Mpt::BatchFold {
+ public:
+  struct Mem;
+  // A subtree slot: empty (zero hash, no node), stored but not yet loaded
+  // (hash only), loaded and clean (both), or dirty (node only: its hash is
+  // computed by Commit).
+  struct Ref {
+    Hash hash;
+    Mem* node = nullptr;
+    bool empty() const { return node == nullptr && IsEmptyRef(hash); }
+  };
+  struct Mem {
+    Node::Kind kind = Node::Kind::kLeaf;
+    Nibbles path;
+    Bytes value;
+    Ref child;                     // extension
+    std::array<Ref, 16> children;  // branch
+    bool dirty = true;
+  };
+
+  explicit BatchFold(Mpt* trie) : trie_(trie) {}
+
+  // Sets `key` to `value` in the subtree at `r`; false when nothing changed.
+  bool Insert(Ref& r, const Nibbles& key, size_t depth, const Bytes& value) {
+    if (r.empty()) {
+      r = NewLeaf(Slice(key, depth, key.size() - depth), value);
+      return true;
+    }
+    bool ok = Resolve(r);
+    assert(ok && "dangling trie reference");
+    (void)ok;
+    Mem& n = *r.node;
+    size_t match = 0;
+    switch (n.kind) {
+      case Node::Kind::kBranch:
+        if (depth == key.size()) {
+          if (n.value == value) {
+            return false;
+          }
+          n.value = value;
+        } else if (!Insert(n.children[key[depth]], key, depth + 1, value)) {
+          return false;
+        }
+        MarkDirty(r);
+        return true;
+      case Node::Kind::kExtension:
+        match = CommonPrefixLen(key, depth, n.path, 0);
+        if (match == n.path.size()) {
+          if (!Insert(n.child, key, depth + match, value)) {
+            return false;
+          }
+          MarkDirty(r);
+          return true;
+        }
+        break;
+      case Node::Kind::kLeaf:
+        match = CommonPrefixLen(key, depth, n.path, 0);
+        if (match == n.path.size() && depth + match == key.size()) {
+          if (n.value == value) {
+            return false;
+          }
+          n.value = value;  // exact overwrite
+          MarkDirty(r);
+          return true;
+        }
+        break;
+    }
+    // Split at the divergence: a branch takes the node's remainder and the
+    // new value, under an extension for the shared prefix.
+    Ref branch = NewNode(Node::Kind::kBranch);
+    if (match == n.path.size()) {
+      branch.node->value = std::move(n.value);  // a leaf the key runs past
+    } else {
+      uint8_t nibble = n.path[match];
+      if (n.kind == Node::Kind::kExtension && match + 1 == n.path.size()) {
+        branch.node->children[nibble] = n.child;
+      } else {
+        n.path.erase(n.path.begin(), n.path.begin() + static_cast<std::ptrdiff_t>(match) + 1);
+        MarkDirty(r);
+        branch.node->children[nibble] = r;
+      }
+    }
+    if (depth + match == key.size()) {
+      branch.node->value = value;
+    } else {
+      branch.node->children[key[depth + match]] =
+          NewLeaf(Slice(key, depth + match + 1, key.size() - depth - match - 1), value);
+    }
+    r = match == 0 ? branch : NewExtension(Slice(key, depth, match), branch);
+    return true;
+  }
+
+  // Deletes `key` from the subtree at `r`; false when it was absent.
+  bool Remove(Ref& r, const Nibbles& key, size_t depth) {
+    if (r.empty() || !Resolve(r)) {
+      return false;  // absent, or under a dangling ref: no change
+    }
+    Mem& n = *r.node;
+    switch (n.kind) {
+      case Node::Kind::kLeaf:
+        if (key.size() - depth == n.path.size() &&
+            CommonPrefixLen(key, depth, n.path, 0) == n.path.size()) {
+          r = Ref();
+          return true;
+        }
+        return false;
+      case Node::Kind::kExtension:
+        if (key.size() - depth < n.path.size() ||
+            CommonPrefixLen(key, depth, n.path, 0) != n.path.size() ||
+            !Remove(n.child, key, depth + n.path.size())) {
+          return false;
+        }
+        if (n.child.empty()) {
+          r = Ref();
+          return true;
+        }
+        break;
+      case Node::Kind::kBranch:
+        if (depth == key.size()) {
+          if (n.value.empty()) {
+            return false;
+          }
+          n.value.clear();
+        } else if (!Remove(n.children[key[depth]], key, depth + 1)) {
+          return false;
+        }
+        break;
+    }
+    MarkDirty(r);
+    Normalize(r);
+    return true;
+  }
+
+  // Encodes, hashes and appends every dirty node under `r`, children first;
+  // returns r's hash (zero when empty).
+  Hash Commit(Ref& r, KvStore::StagedWrites* nodes) {
+    if (r.node == nullptr || !r.node->dirty) {
+      return r.hash;
+    }
+    Mem& m = *r.node;
+    Node node;
+    node.kind = m.kind;
+    node.path = std::move(m.path);
+    node.value = std::move(m.value);
+    if (m.kind == Node::Kind::kExtension) {
+      node.child = Commit(m.child, nodes);
+    } else if (m.kind == Node::Kind::kBranch) {
+      for (int i = 0; i < 16; ++i) {
+        node.children[i] = Commit(m.children[i], nodes);
+      }
+    }
+    Bytes encoded = EncodeNode(node);
+    r.hash = Keccak256(encoded);
+    m.dirty = false;
+    nodes->emplace_back(r.hash, std::move(encoded));
+    return r.hash;
+  }
+
+ private:
+  // Loads and decodes a stored node on first reach; false if absent/corrupt.
+  bool Resolve(Ref& r) {
+    if (r.node != nullptr) {
+      return true;
+    }
+    Node stored;
+    if (!trie_->LoadNode(r.hash, &stored)) {
+      return false;
+    }
+    Mem& m = arena_.emplace_back();
+    m.kind = stored.kind;
+    m.path = std::move(stored.path);
+    m.value = std::move(stored.value);
+    m.child.hash = stored.child;
+    for (int i = 0; i < 16; ++i) {
+      m.children[i].hash = stored.children[i];
+    }
+    m.dirty = false;
+    r.node = &m;
+    return true;
+  }
+
+  static void MarkDirty(Ref& r) {
+    r.node->dirty = true;
+    r.hash = Hash();
+  }
+
+  Ref NewNode(Node::Kind kind) {
+    Mem& m = arena_.emplace_back();
+    m.kind = kind;
+    return Ref{Hash(), &m};
+  }
+
+  Ref NewLeaf(Nibbles path, Bytes value) {
+    Ref r = NewNode(Node::Kind::kLeaf);
+    r.node->path = std::move(path);
+    r.node->value = std::move(value);
+    return r;
+  }
+
+  Ref NewExtension(Nibbles path, const Ref& child) {
+    Ref r = NewNode(Node::Kind::kExtension);
+    r.node->path = std::move(path);
+    r.node->child = child;
+    return r;
+  }
+
+  // Mpt::Normalize on a dirty node: collapses a branch left with one entry
+  // and merges an extension into a leaf or extension child.
+  void Normalize(Ref& r) {
+    Mem& n = *r.node;
+    if (n.kind == Node::Kind::kExtension) {
+      bool ok = Resolve(n.child);
+      assert(ok && "dangling extension child");
+      (void)ok;
+      if (n.child.node->kind != Node::Kind::kBranch) {
+        Absorb(r, n.path, n.child);
+      }
+      return;
+    }
+    if (n.kind != Node::Kind::kBranch) {
+      return;
+    }
+    int live_children = 0;
+    int live_index = -1;
+    for (int i = 0; i < 16; ++i) {
+      if (!n.children[i].empty()) {
+        ++live_children;
+        live_index = i;
+      }
+    }
+    if (live_children >= 2 || (live_children == 1 && !n.value.empty())) {
+      return;
+    }
+    if (live_children == 0) {
+      // Only the value slot remains (or nothing): a leaf with an empty path.
+      r = n.value.empty() ? Ref() : NewLeaf({}, std::move(n.value));
+      return;
+    }
+    // Exactly one child and no value: merge the nibble into the child.
+    Ref& only = n.children[live_index];
+    bool ok = Resolve(only);
+    assert(ok && "dangling branch child");
+    (void)ok;
+    const Nibbles nibble = {static_cast<uint8_t>(live_index)};
+    if (only.node->kind == Node::Kind::kBranch) {
+      r = NewExtension(nibble, only);
+    } else {
+      Absorb(r, nibble, only);
+    }
+  }
+
+  // Replaces `r` with its leaf or extension `child`, whose path gains `prefix`.
+  static void Absorb(Ref& r, const Nibbles& prefix, Ref child) {
+    child.node->path.insert(child.node->path.begin(), prefix.begin(), prefix.end());
+    MarkDirty(child);
+    r = child;
+  }
+
+  Mpt* trie_;
+  std::deque<Mem> arena_;  // stable addresses: Refs point into it
+};
+
+Hash Mpt::Update(const Hash& root, const std::vector<TrieWrite>& batch,
+                 KvStore::StagedWrites* nodes) {
+  BatchFold fold(this);
+  BatchFold::Ref top;
+  if (root != EmptyRoot()) {
+    top.hash = root;
+  }
+  for (const auto& [key, value] : batch) {
+    Nibbles nibbles = BytesToNibbles(key.data(), key.size());
+    if (value.empty()) {
+      fold.Remove(top, nibbles, 0);
+    } else {
+      fold.Insert(top, nibbles, 0, value);
+    }
+  }
+  Hash new_root = fold.Commit(top, nodes);
+  return IsEmptyRef(new_root) ? EmptyRoot() : new_root;
 }
 
 std::optional<Bytes> Mpt::Prefetch(const Hash& root, const Bytes& key) {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/trie/kv_store.h"
@@ -25,6 +26,9 @@ Bytes HexPrefixEncode(const Nibbles& path, bool is_leaf);
 // Inverse of HexPrefixEncode; sets *is_leaf from the flag nibble.
 Nibbles HexPrefixDecode(const Bytes& encoded, bool* is_leaf);
 
+// One key's new value in a batched Mpt::Update; an empty value deletes.
+using TrieWrite = std::pair<Bytes, Bytes>;
+
 class Mpt {
  public:
   explicit Mpt(KvStore* store) : store_(store) {}
@@ -36,6 +40,14 @@ class Mpt {
   std::optional<Bytes> Get(const Hash& root, const Bytes& key);
   // Writes `value` at `key`; empty value deletes. Returns the new root.
   Hash Put(const Hash& root, const Bytes& key, const Bytes& value);
+  // Applies a whole batch of writes, in order, and returns the root that the
+  // same chain of Puts reaches. Each stored node is loaded and decoded at
+  // most once; each node the batch changed is encoded and hashed once,
+  // children first, and appended to `*nodes` rather than stored: the caller
+  // applies them (KvStore::ApplyStaged). Only nodes of the new trie are
+  // appended, so every appended blob is reachable from the new root.
+  Hash Update(const Hash& root, const std::vector<TrieWrite>& batch,
+              KvStore::StagedWrites* nodes);
   // Walks the path for `key` so that all touched nodes become hot in the
   // store (the prefetcher's mechanism); returns the value if present.
   std::optional<Bytes> Prefetch(const Hash& root, const Bytes& key);
@@ -63,8 +75,13 @@ class Mpt {
     std::array<Hash, 16> children{};  // branch children (zero hash = empty)
   };
 
+  // Update's in-memory tree of decoded nodes (trie.cc).
+  class BatchFold;
+
   // Decodes a serialized node blob; false on malformed input.
   static bool DecodeNodeBlob(const Bytes& blob, Node* out);
+  // Serializes a node: RLP of its items, every child referenced by hash.
+  static Bytes EncodeNode(const Node& node);
   // Loads and decodes the node stored under `ref`; false if absent/corrupt.
   bool LoadNode(const Hash& ref, Node* out);
   // Encodes + stores a node, returning its hash reference.

@@ -2,12 +2,75 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <string>
+
+#include "src/common/rng.h"
 
 namespace frn {
 namespace {
 
 Bytes FromString(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+// The reference: Keccak-f[1600] in its loop form, straight from the
+// specification's step mappings, and the Keccak-256 sponge around it.
+void ReferenceKeccakF1600(uint64_t state[25]) {
+  static constexpr uint64_t kRoundConstants[24] = {
+      0x0000000000000001ULL, 0x0000000000008082ULL, 0x800000000000808aULL, 0x8000000080008000ULL,
+      0x000000000000808bULL, 0x0000000080000001ULL, 0x8000000080008081ULL, 0x8000000000008009ULL,
+      0x000000000000008aULL, 0x0000000000000088ULL, 0x0000000080008009ULL, 0x000000008000000aULL,
+      0x000000008000808bULL, 0x800000000000008bULL, 0x8000000000008089ULL, 0x8000000000008003ULL,
+      0x8000000000008002ULL, 0x8000000000000080ULL, 0x000000000000800aULL, 0x800000008000000aULL,
+      0x8000000080008081ULL, 0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
+  };
+  static constexpr int kRhoOffsets[25] = {0,  1,  62, 28, 27, 36, 44, 6,  55, 20, 3,  10, 43,
+                                          25, 39, 41, 45, 15, 21, 8,  18, 2,  61, 56, 14};
+  for (int round = 0; round < 24; ++round) {
+    uint64_t c[5];
+    for (int x = 0; x < 5; ++x) {
+      c[x] = state[x] ^ state[x + 5] ^ state[x + 10] ^ state[x + 15] ^ state[x + 20];
+    }
+    for (int x = 0; x < 5; ++x) {
+      uint64_t d = c[(x + 4) % 5] ^ std::rotl(c[(x + 1) % 5], 1);
+      for (int y = 0; y < 5; ++y) {
+        state[x + 5 * y] ^= d;
+      }
+    }
+    uint64_t b[25];
+    for (int x = 0; x < 5; ++x) {
+      for (int y = 0; y < 5; ++y) {
+        b[y + 5 * ((2 * x + 3 * y) % 5)] = std::rotl(state[x + 5 * y], kRhoOffsets[x + 5 * y]);
+      }
+    }
+    for (int x = 0; x < 5; ++x) {
+      for (int y = 0; y < 5; ++y) {
+        state[x + 5 * y] = b[x + 5 * y] ^ (~b[(x + 1) % 5 + 5 * y] & b[(x + 2) % 5 + 5 * y]);
+      }
+    }
+    state[0] ^= kRoundConstants[round];
+  }
+}
+
+Hash ReferenceKeccak256(const Bytes& data) {
+  constexpr size_t kRate = 136;
+  uint64_t state[25] = {0};
+  Bytes padded = data;
+  padded.push_back(0x01);
+  padded.resize((padded.size() + kRate - 1) / kRate * kRate, 0);
+  padded.back() |= 0x80;
+  for (size_t block = 0; block < padded.size(); block += kRate) {
+    for (size_t i = 0; i < kRate / 8; ++i) {
+      uint64_t lane;
+      std::memcpy(&lane, padded.data() + block + 8 * i, 8);
+      state[i] ^= lane;
+    }
+    ReferenceKeccakF1600(state);
+  }
+  std::array<uint8_t, 32> out;
+  std::memcpy(out.data(), state, 32);
+  return Hash(out);
+}
 
 // Published Keccak-256 vectors (Ethereum's Keccak, 0x01 padding).
 TEST(KeccakTest, EmptyInput) {
@@ -71,6 +134,19 @@ TEST(KeccakTest, MappingSlotDerivation) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a, Keccak256TwoWords(U256(3990300), U256(1)));
+}
+
+TEST(KeccakTest, MatchesLoopFormOnRandomInputs) {
+  // Random lengths up to three rate blocks, so the padding lands in every
+  // position and inputs absorb one to four permutations.
+  Rng rng(0x4B454343);
+  for (int i = 0; i < 1000; ++i) {
+    Bytes input(rng.NextBounded(3 * 136 + 1));
+    for (uint8_t& b : input) {
+      b = static_cast<uint8_t>(rng.NextU64());
+    }
+    ASSERT_EQ(Keccak256(input), ReferenceKeccak256(input)) << "length " << input.size();
+  }
 }
 
 }  // namespace

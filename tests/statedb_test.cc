@@ -4,7 +4,9 @@
 
 #include <set>
 
+#include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/rlp/rlp.h"
 #include "src/state/versioned_state.h"
 
 namespace frn {
@@ -301,6 +303,96 @@ TEST_F(StateDbTest, VersionedMissFallsBackToTrieOnUnretainedRoot) {
   StateDbStats s = db.stats();
   EXPECT_EQ(s.versioned_hits, 0u);
   EXPECT_GT(s.account_trie_reads, 0u);
+}
+
+// Collects the hashes of every node reachable from `root` by decoding the
+// stored blobs; in the account trie, every leaf's storage root is walked too.
+void CollectReachable(KvStore& store, const Hash& root, bool account_trie, std::set<Hash>* out) {
+  if (root.IsZero() || root == Mpt::EmptyRoot() || !out->insert(root).second) {
+    return;
+  }
+  auto blob = store.Get(root);
+  ASSERT_TRUE(blob.has_value()) << "dangling node " << root.ToHex();
+  RlpDecoder::Item node;
+  ASSERT_TRUE(RlpDecoder::Decode(*blob, &node) && node.is_list);
+  auto child_hash = [](const RlpDecoder::Item& item) {
+    std::array<uint8_t, 32> h{};
+    if (item.payload.size() == 32) {
+      std::copy(item.payload.begin(), item.payload.end(), h.begin());
+    }
+    return Hash(h);
+  };
+  if (node.children.size() == 17) {
+    for (int i = 0; i < 16; ++i) {
+      CollectReachable(store, child_hash(node.children[i]), account_trie, out);
+    }
+    return;
+  }
+  ASSERT_EQ(node.children.size(), 2u);
+  bool is_leaf = false;
+  HexPrefixDecode(node.children[0].payload, &is_leaf);
+  if (!is_leaf) {
+    CollectReachable(store, child_hash(node.children[1]), account_trie, out);
+  } else if (account_trie) {
+    RlpDecoder::Item account;
+    ASSERT_TRUE(RlpDecoder::Decode(node.children[1].payload, &account) && account.is_list);
+    CollectReachable(store, child_hash(account.children[2]), false, out);
+  }
+}
+
+TEST_F(StateDbTest, StoreBackedCommitWritesOnlyReachableNodes) {
+  VersionedState versioned(/*retention=*/4);
+  Hash root;
+  {
+    StateDb db(&trie_, Mpt::EmptyRoot(), &versioned);
+    for (uint64_t a = 1; a <= 12; ++a) {
+      db.AddBalance(Address::FromId(a), U256(1000 + a));
+      for (uint64_t s = 0; s < 10; ++s) {
+        db.SetStorage(Address::FromId(a), U256(s), U256(a * 100 + s));
+      }
+    }
+    root = db.Commit();
+  }
+  std::set<Hash> before;
+  CollectReachable(store_, root, true, &before);
+  ASSERT_EQ(store_.size(), before.size()) << "genesis stored unreachable nodes";
+
+  // Several accounts, each with several dirty slots: overwrites, deletes and
+  // new slots, so every storage fold rewrites shared interior nodes. Values
+  // differ per account, so no two tries share a node.
+  StateDb db(&trie_, root, &versioned);
+  for (uint64_t a = 1; a <= 12; a += 2) {
+    db.AddBalance(Address::FromId(a), U256(7));
+    for (uint64_t s = 0; s < 6; ++s) {
+      db.SetStorage(Address::FromId(a), U256(s * 3), U256(s % 3 == 0 ? 0 : 9000 + a * 10 + s));
+    }
+  }
+  const uint64_t writes_before = store_.stats().writes;
+  Hash new_root = db.Commit();
+  std::set<Hash> after;
+  CollectReachable(store_, new_root, true, &after);
+  std::set<Hash> both = before;
+  both.insert(after.begin(), after.end());
+  // Every blob the commit added is reachable from the new root, and each was
+  // written once.
+  EXPECT_EQ(store_.size(), both.size());
+  EXPECT_EQ(store_.stats().writes - writes_before, both.size() - before.size());
+}
+
+TEST_F(StateDbTest, CommitStatsSplitStorageAndAccountFolds) {
+  VersionedState versioned(/*retention=*/4);
+  StateDb db(&trie_, Mpt::EmptyRoot(), &versioned);
+  for (uint64_t a = 1; a <= 8; ++a) {
+    db.AddBalance(Address::FromId(a), U256(a));
+    db.SetStorage(Address::FromId(a), U256(a), U256(a + 1));
+  }
+  Stopwatch watch;
+  db.Commit();
+  const double commit_seconds = watch.ElapsedSeconds();
+  const CommitStats& stats = db.commit_stats();
+  EXPECT_GT(stats.fold_wall_seconds, 0.0);
+  EXPECT_GT(stats.account_fold_seconds, 0.0);
+  EXPECT_LE(stats.fold_wall_seconds + stats.account_fold_seconds, commit_seconds);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/crypto/keccak.h"
@@ -282,6 +283,106 @@ TEST_P(TrieModelProperty, MatchesReferenceMap) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieModelProperty, ::testing::Range(0, 6));
 
+// Differential sweep of the batched fold: seeded rounds of random batches go
+// through Mpt::Update into one store and through per-key Put, the reference,
+// into another. Batches insert, overwrite and delete present and absent keys,
+// and some rounds end by deleting every key. 32-byte hashed keys give leaf and
+// extension splits and branch collapses; short variable-length keys, prefixes
+// of one another, add branch value slots and empty-path leaves.
+class TrieBatchProperty : public ::testing::TestWithParam<int> {};
+
+std::vector<Bytes> HashedKeys() {
+  std::vector<Bytes> keys;
+  for (uint64_t id = 0; id < 64; ++id) {
+    keys.push_back(Key32(id));
+  }
+  return keys;
+}
+
+std::vector<Bytes> ShortKeys() {
+  // Every key of 0..3 bytes over an alphabet whose nibbles collide.
+  const uint8_t alphabet[] = {0x00, 0x01, 0x10, 0xf1};
+  std::vector<Bytes> keys = {Bytes{}};
+  for (size_t from = 0; keys.back().size() < 3;) {
+    size_t to = keys.size();
+    for (size_t i = from; i < to; ++i) {
+      for (uint8_t b : alphabet) {
+        Bytes k = keys[i];
+        k.push_back(b);
+        keys.push_back(k);
+      }
+    }
+    from = to;
+  }
+  return keys;
+}
+
+TEST_P(TrieBatchProperty, UpdateMatchesPerKeyPut) {
+  for (const std::vector<Bytes>& universe : {HashedKeys(), ShortKeys()}) {
+    Rng rng(0xBA7C4 + GetParam() * 2 + universe[0].size());
+    KvStore batched_store(FastStore());
+    KvStore reference_store(FastStore());
+    Mpt batched(&batched_store);
+    Mpt reference(&reference_store);
+    Hash batched_root = Mpt::EmptyRoot();
+    Hash reference_root = Mpt::EmptyRoot();
+    std::map<Bytes, Bytes> model;
+    for (int round = 0; round < 60; ++round) {
+      std::vector<TrieWrite> batch;
+      for (uint64_t n = 1 + rng.NextBounded(24); n > 0; --n) {
+        const Bytes& key = universe[rng.NextBounded(universe.size())];
+        if (rng.NextBounded(3) == 0) {
+          batch.emplace_back(key, Bytes{});  // the key may be absent
+        } else {
+          Bytes value(1 + rng.NextBounded(40), 0);
+          for (uint8_t& b : value) {
+            b = static_cast<uint8_t>(rng.NextBounded(4));  // equal values recur
+          }
+          batch.emplace_back(key, value);
+        }
+      }
+      const bool delete_all = rng.NextBounded(10) == 0;
+      if (delete_all) {
+        // Every key present before the batch or written by it, deleted last.
+        std::vector<TrieWrite> deletes;
+        for (const auto& [key, value] : model) {
+          deletes.emplace_back(key, Bytes{});
+        }
+        for (const auto& [key, value] : batch) {
+          deletes.emplace_back(key, Bytes{});
+        }
+        batch.insert(batch.end(), deletes.begin(), deletes.end());
+      }
+      KvStore::StagedWrites nodes;
+      batched_root = batched.Update(batched_root, batch, &nodes);
+      batched_store.ApplyStaged(std::move(nodes));
+      for (const auto& [key, value] : batch) {
+        reference_root = reference.Put(reference_root, key, value);
+        if (value.empty()) {
+          model.erase(key);
+        } else {
+          model[key] = value;
+        }
+      }
+      ASSERT_EQ(batched_root, reference_root) << "round " << round;
+      if (delete_all) {
+        EXPECT_TRUE(model.empty());
+        EXPECT_EQ(batched_root, Mpt::EmptyRoot());
+      }
+      for (const Bytes& key : universe) {
+        auto it = model.find(key);
+        auto got = batched.Get(batched_root, key);
+        ASSERT_EQ(got.has_value(), it != model.end()) << "round " << round;
+        if (got) {
+          EXPECT_EQ(*got, it->second);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrieBatchProperty, ::testing::Range(0, 20));
+
 Hash HashOf(uint64_t id) { return Keccak256Word(U256(id)); }
 
 TEST(KvStoreTest, WarmPastCapacityEnforcesOccupancyBound) {
@@ -327,20 +428,13 @@ TEST(KvStoreTest, RewarmingResidentKeysNeverEvicts) {
 TEST(KvStoreTest, StagedWritesInvisibleUntilBatchApply) {
   KvStore store(FastStore());
   KvStore::StagedWrites staged;
-  {
-    KvStore::StageScope scope(&staged);
-    store.Put(HashOf(1), Val("one"));
-    store.Put(HashOf(2), Val("two"));
-    store.Put(HashOf(1), Val("one'"));  // content-addressed rewrite, same slot
-    // The staging thread reads its own writes back (no latency, like a
-    // just-written hot node).
-    auto got = store.Get(HashOf(1));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, Val("one'"));
-  }
+  staged.emplace_back(HashOf(1), Val("one"));
+  staged.emplace_back(HashOf(2), Val("two"));
+  staged.emplace_back(HashOf(1), Val("one'"));  // content-addressed rewrite, same slot
   // Not yet applied: invisible to the shared map.
   EXPECT_FALSE(store.Contains(HashOf(1)));
   EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().writes, 0u);
 
   store.ApplyStaged(std::move(staged));
   EXPECT_TRUE(store.Contains(HashOf(1)));
@@ -350,7 +444,7 @@ TEST(KvStoreTest, StagedWritesInvisibleUntilBatchApply) {
   auto got = store.Get(HashOf(1));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, Val("one'"));
-  // Two logical writes for key 1 plus one for key 2, counted at staging time.
+  // Two logical writes for key 1 plus one for key 2, counted at apply time.
   EXPECT_EQ(store.stats().writes, 3u);
 }
 

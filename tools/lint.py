@@ -23,8 +23,8 @@ Rules (see DESIGN.md §10 for the rationale behind each):
                         is not a contract; ordered output must not depend on
                         it. Iterations that are provably order-independent
                         carry a suppression explaining why.
-  raii-temporary        A guard type (MutexLock, ReaderLock, StageScope,
-                        TraceSpan) constructed as an unnamed
+  raii-temporary        A guard type (MutexLock, ReaderLock, TraceSpan)
+                        constructed as an unnamed
                         temporary: `MutexLock(mu_);` locks and unlocks on the
                         same line, which is never what was meant.
   todo-tag              TODO/FIXME without an owner/issue tag: write
@@ -82,12 +82,12 @@ DETERMINISM_FN_RE = re.compile(
     r"(Json|Merge|Snapshot|Commit|Write|Export|Root|Stats|Dump|Summary)"
 )
 UNORDERED_DECL_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\s*<")
-GUARD_TYPES = r"(?:MutexLock|ReaderLock|StageScope|TraceSpan)"
+GUARD_TYPES = r"(?:MutexLock|ReaderLock|TraceSpan)"
 # Unnamed guard temporary: a complete `Type(args);` statement on one line.
 # Requiring the trailing `);` keeps multi-line constructor *declarations* and
 # `= delete` lines (which continue past the closing paren) out of scope.
 RAII_TEMP_RE = re.compile(
-    r"^\s*(?:frn::)?(?:KvStore::)?" + GUARD_TYPES + r"\s*\([^;]*\)\s*;\s*$"
+    r"^\s*(?:frn::)?" + GUARD_TYPES + r"\s*\([^;]*\)\s*;\s*$"
 )
 # A function-definition-looking line: starts at column 0, has a parameter
 # list, is not a control-flow statement. Heuristic — suppressions cover any
