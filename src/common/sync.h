@@ -3,15 +3,18 @@
 // (tools/lint.py rule `raw-sync` enforces this).
 //
 // Every wrapper carries Clang thread-safety attributes (CAPABILITY,
-// GUARDED_BY, REQUIRES, ACQUIRE/RELEASE, EXCLUDES, ...), so a clang build
-// with -Wthread-safety turns lock-discipline mistakes — touching a
-// FRN_GUARDED_BY member without its mutex, forgetting a MutexLock on one
-// branch, releasing a lock twice — into compile errors. That is exactly the
-// class of bug PRs 1–4 shipped and later caught at runtime (the SpecPool
-// batch-retirement UAF, the KvStore Touch/CoolAll eviction wipe): the
-// annotations move them from TSan-at-runtime to -Werror-at-compile-time.
+// GUARDED_BY, REQUIRES, ACQUIRE/RELEASE), so a clang build with
+// -Wthread-safety turns lock-discipline mistakes — touching a FRN_GUARDED_BY
+// member without its mutex, forgetting a MutexLock on one branch, releasing
+// a lock twice, taking a lock the same function already holds — into compile
+// errors. That is the class of bug this code once shipped and caught only at
+// runtime (the SpecPool batch-retirement UAF, the KvStore Touch/CoolAll
+// eviction wipe): the annotations move them from TSan-at-runtime to
+// -Werror-at-compile-time.
 // TSan (tools/run_tsan.sh) remains the dynamic backstop for what annotations
-// cannot see: atomics-ordering bugs and data published without any lock.
+// cannot see: atomics-ordering bugs, data published without any lock, and
+// lock-order inversions between functions (its deadlock detector sees every
+// wrapper acquisition, because each one is a plain std:: lock call).
 //
 // Under GCC (or any compiler without the attributes) every macro expands to
 // nothing and the wrappers are exactly std::mutex / std::shared_mutex with
@@ -22,7 +25,7 @@
 //
 //   class Cache {
 //    public:
-//     void Put(K k, V v) FRN_EXCLUDES(mu_) {
+//     void Put(K k, V v) {
 //       MutexLock lock(mu_);
 //       map_[k] = v;                  // OK: mu_ held
 //     }
@@ -36,16 +39,6 @@
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
-
-#if defined(FRN_LOCKDEP) && FRN_LOCKDEP
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-#endif
 
 // ---- Attribute macros (no-ops outside clang) --------------------------------
 
@@ -64,218 +57,15 @@
 #define FRN_SCOPED_CAPABILITY FRN_THREAD_ANNOTATION__(scoped_lockable)
 // Data member readable/writable only while the given capability is held.
 #define FRN_GUARDED_BY(x) FRN_THREAD_ANNOTATION__(guarded_by(x))
-// Pointer member whose *pointee* is protected by the given capability.
-#define FRN_PT_GUARDED_BY(x) FRN_THREAD_ANNOTATION__(pt_guarded_by(x))
-// Lock-ordering declarations (deadlock prevention).
-#define FRN_ACQUIRED_BEFORE(...) FRN_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define FRN_ACQUIRED_AFTER(...) FRN_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
-// The caller must hold the capability (exclusively / at least shared).
+// The caller must hold the capability.
 #define FRN_REQUIRES(...) FRN_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define FRN_REQUIRES_SHARED(...) FRN_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 // The function acquires/releases the capability itself.
 #define FRN_ACQUIRE(...) FRN_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 #define FRN_ACQUIRE_SHARED(...) FRN_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define FRN_RELEASE(...) FRN_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 #define FRN_RELEASE_SHARED(...) FRN_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define FRN_RELEASE_GENERIC(...) FRN_THREAD_ANNOTATION__(release_generic_capability(__VA_ARGS__))
-#define FRN_TRY_ACQUIRE(...) FRN_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-// The caller must NOT already hold the capability (non-reentrancy guard).
-#define FRN_EXCLUDES(...) FRN_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-// Runtime-checked assertion that the capability is held (no acquire emitted).
-#define FRN_ASSERT_CAPABILITY(x) FRN_THREAD_ANNOTATION__(assert_capability(x))
-#define FRN_ASSERT_SHARED_CAPABILITY(x) FRN_THREAD_ANNOTATION__(assert_shared_capability(x))
-// Accessor returning a reference to the named capability.
-#define FRN_RETURN_CAPABILITY(x) FRN_THREAD_ANNOTATION__(lock_returned(x))
-// Escape hatch for protocols the analysis cannot express (e.g. disjoint-slot
-// writes barriered by a counter). Use sparingly; every use needs a comment
-// saying what actually guarantees exclusion — TSan still checks it.
-#define FRN_NO_THREAD_SAFETY_ANALYSIS FRN_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 namespace frn {
-
-// ---- Runtime lockdep (debug / TSan builds only) -----------------------------
-//
-// The static lock-order pass (tools/analyze.py) proves the *annotated* order
-// acyclic from source; this runtime cross-check catches what static analysis
-// cannot see — orders established through function pointers, type-erased
-// callbacks, or paths only reachable with particular data. Every acquisition
-// records "held → acquiring" edges into one process-wide graph keyed by lock
-// instance; an acquisition whose edge would close a cycle (the classic AB/BA
-// inversion) reports immediately, *before* blocking, even if the schedule
-// that would actually deadlock never runs.
-//
-// Off by default: FRN_LOCKDEP must be defined to 1 for the whole build (the
-// CMake option FRN_LOCKDEP, auto-enabled under FRN_SANITIZE=thread so
-// tools/run_tsan.sh arms it). Defining it per-target would give Mutex::Lock
-// differing inline definitions across TUs — an ODR violation — so the only
-// supported granularities are "whole build" and "standalone binary that links
-// no frn libraries" (what tests/lockdep_test.cc does).
-#if defined(FRN_LOCKDEP) && FRN_LOCKDEP
-namespace lockdep {
-
-// Called with a human-readable report when an inversion is found. The default
-// prints to stderr and aborts; tests install a recording handler.
-using FailureHandler = std::function<void(const std::string&)>;
-
-struct Graph {
-  // Guards everything below. A raw std::mutex on purpose: frn::Mutex would
-  // recurse into the hooks it backs.
-  std::mutex mu;
-  // edges[a] contains b  ⇔  some thread acquired b while holding a.
-  std::unordered_map<const void*, std::unordered_set<const void*>> edges;
-  std::unordered_map<const void*, std::string> names;
-  FailureHandler handler;
-
-  static Graph& Get() {
-    static Graph g;
-    return g;
-  }
-
-  std::string NameOf(const void* lock) {
-    auto it = names.find(lock);
-    if (it != names.end()) {
-      return it->second;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "lock@%p", lock);
-    return buf;
-  }
-
-  // Is `to` reachable from `from` over recorded edges? (Iterative DFS; the
-  // graph is tiny — one node per live lock instance.)
-  bool Reaches(const void* from, const void* to) {
-    std::vector<const void*> stack{from};
-    std::unordered_set<const void*> visited;
-    while (!stack.empty()) {
-      const void* n = stack.back();
-      stack.pop_back();
-      if (n == to) {
-        return true;
-      }
-      if (!visited.insert(n).second) {
-        continue;
-      }
-      auto it = edges.find(n);
-      if (it == edges.end()) {
-        continue;
-      }
-      // Traversal order does not affect the reachability answer, only which
-      // equivalent witness path the DFS walks first. frn:allow(unordered-iter)
-      for (const void* next : it->second) {  // frn:allow(unordered-iter)
-        stack.push_back(next);
-      }
-    }
-    return false;
-  }
-
-  void Fail(const std::string& report) {
-    if (handler) {
-      handler(report);
-      return;
-    }
-    std::fprintf(stderr, "%s\n", report.c_str());
-    std::abort();
-  }
-};
-
-// The per-thread stack of currently-held locks, outermost first.
-inline std::vector<const void*>& Held() {
-  thread_local std::vector<const void*> held;
-  return held;
-}
-
-// Records `lock` as about-to-be-acquired: checks every held lock's recorded
-// order against the new edge, reports on inversion or recursive acquisition,
-// then pushes. Runs *before* the underlying lock() so the report beats the
-// deadlock it predicts.
-inline void OnAcquire(const void* lock) {
-  std::vector<const void*>& held = Held();
-  Graph& g = Graph::Get();
-  std::lock_guard<std::mutex> guard(g.mu);
-  for (const void* h : held) {
-    if (h == lock) {
-      g.Fail("frn lockdep: recursive acquisition of " + g.NameOf(lock) +
-             " (already held by this thread)");
-      return;
-    }
-  }
-  for (const void* h : held) {
-    // Adding h → lock: a recorded path lock ⇝ h means some thread took these
-    // in the opposite order — the edge would close a cycle.
-    if (g.Reaches(lock, h)) {
-      g.Fail("frn lockdep: lock-order inversion acquiring " + g.NameOf(lock) +
-             " while holding " + g.NameOf(h) + " (recorded order has " +
-             g.NameOf(lock) + " before " + g.NameOf(h) + ")");
-      return;
-    }
-    g.edges[h].insert(lock);
-  }
-  held.push_back(lock);
-}
-
-// Records a *successful* try-lock. A try-lock never blocks, so it cannot be
-// the victim of an inversion and gets no cycle check — but the lock is now
-// held, and later acquisitions must order against it.
-inline void OnTryAcquire(const void* lock) {
-  std::vector<const void*>& held = Held();
-  Graph& g = Graph::Get();
-  std::lock_guard<std::mutex> guard(g.mu);
-  for (const void* h : held) {
-    g.edges[h].insert(lock);
-  }
-  held.push_back(lock);
-}
-
-inline void OnRelease(const void* lock) {
-  std::vector<const void*>& held = Held();
-  // Search from the innermost end: releases are almost always LIFO, but
-  // hand-over-hand unlocking is legal and supported.
-  for (size_t i = held.size(); i > 0; --i) {
-    if (held[i - 1] == lock) {
-      held.erase(held.begin() + static_cast<long>(i - 1));
-      return;
-    }
-  }
-}
-
-// Optional: name a lock instance for readable reports (typically called from
-// the owning class' constructor via FRN_LOCKDEP_NAME).
-inline void SetName(const void* lock, const char* name) {
-  Graph& g = Graph::Get();
-  std::lock_guard<std::mutex> guard(g.mu);
-  g.names[lock] = name;
-}
-
-// Test hooks: swap the failure handler (returns the old one) and wipe all
-// recorded edges/names between test cases.
-inline FailureHandler SetFailureHandler(FailureHandler h) {
-  Graph& g = Graph::Get();
-  std::lock_guard<std::mutex> guard(g.mu);
-  FailureHandler old = std::move(g.handler);
-  g.handler = std::move(h);
-  return old;
-}
-
-inline void Reset() {
-  Graph& g = Graph::Get();
-  std::lock_guard<std::mutex> guard(g.mu);
-  g.edges.clear();
-  g.names.clear();
-  Held().clear();
-}
-
-}  // namespace lockdep
-
-#define FRN_LOCKDEP_ON_ACQUIRE(lock) ::frn::lockdep::OnAcquire(lock)
-#define FRN_LOCKDEP_ON_TRY_ACQUIRE(lock) ::frn::lockdep::OnTryAcquire(lock)
-#define FRN_LOCKDEP_ON_RELEASE(lock) ::frn::lockdep::OnRelease(lock)
-#define FRN_LOCKDEP_NAME(lock, name) ::frn::lockdep::SetName(&(lock), name)
-#else
-#define FRN_LOCKDEP_ON_ACQUIRE(lock) ((void)0)
-#define FRN_LOCKDEP_ON_TRY_ACQUIRE(lock) ((void)0)
-#define FRN_LOCKDEP_ON_RELEASE(lock) ((void)0)
-#define FRN_LOCKDEP_NAME(lock, name) ((void)0)
-#endif  // FRN_LOCKDEP
 
 class CondVar;
 
@@ -287,21 +77,8 @@ class FRN_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() FRN_ACQUIRE() {
-    FRN_LOCKDEP_ON_ACQUIRE(this);
-    mu_.lock();
-  }
-  void Unlock() FRN_RELEASE() {
-    mu_.unlock();
-    FRN_LOCKDEP_ON_RELEASE(this);
-  }
-  bool TryLock() FRN_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) {
-      return false;
-    }
-    FRN_LOCKDEP_ON_TRY_ACQUIRE(this);
-    return true;
-  }
+  void Lock() FRN_ACQUIRE() { mu_.lock(); }
+  void Unlock() FRN_RELEASE() { mu_.unlock(); }
 
  private:
   friend class CondVar;
@@ -316,25 +93,10 @@ class FRN_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() FRN_ACQUIRE() {
-    FRN_LOCKDEP_ON_ACQUIRE(this);
-    mu_.lock();
-  }
-  void Unlock() FRN_RELEASE() {
-    mu_.unlock();
-    FRN_LOCKDEP_ON_RELEASE(this);
-  }
-  // Shared acquisitions feed the same ordering graph as exclusive ones: a
-  // reader blocked behind a queued writer participates in deadlock cycles
-  // exactly like a writer would.
-  void ReaderLock() FRN_ACQUIRE_SHARED() {
-    FRN_LOCKDEP_ON_ACQUIRE(this);
-    mu_.lock_shared();
-  }
-  void ReaderUnlock() FRN_RELEASE_SHARED() {
-    mu_.unlock_shared();
-    FRN_LOCKDEP_ON_RELEASE(this);
-  }
+  void Lock() FRN_ACQUIRE() { mu_.lock(); }
+  void Unlock() FRN_RELEASE() { mu_.unlock(); }
+  void ReaderLock() FRN_ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void ReaderUnlock() FRN_RELEASE_SHARED() { mu_.unlock_shared(); }
 
  private:
   std::shared_mutex mu_;
@@ -398,14 +160,9 @@ class CondVar {
   // REQUIRES rather than RELEASE+ACQUIRE: from the caller's (and the
   // analysis') point of view the lock never went away.
   void Wait(Mutex& mu) FRN_REQUIRES(mu) {
-    // Lockdep mirrors the real handoff: the mutex leaves the held set for
-    // the blocked stretch and re-enters it (with a fresh ordering check)
-    // on wakeup.
-    FRN_LOCKDEP_ON_RELEASE(&mu);
     std::unique_lock<std::mutex> inner(mu.mu_, std::adopt_lock);
     cv_.wait(inner);
     inner.release();  // ownership stays with the caller's MutexLock
-    FRN_LOCKDEP_ON_ACQUIRE(&mu);
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -8,16 +8,15 @@ and layering contracts against it:
 
   lock-order       Builds the global lock-acquisition graph: an edge A -> B
                    means some thread can acquire B while holding A (observed
-                   from nested MutexLock/ReaderLock scopes, propagated
-                   through the call graph, plus any FRN_ACQUIRED_BEFORE /
-                   FRN_ACQUIRED_AFTER declarations). Any cycle is a potential
-                   deadlock and fails the run. The full graph is emitted as
-                   graphviz (tools/lock_order.dot) so the intended order is
-                   reviewable. The runtime cross-check of this pass is the
-                   FRN_LOCKDEP checker in src/common/sync.h (armed in the
-                   TSan build), which sees orders established through
-                   function pointers and data-dependent paths that no static
-                   scan can follow.
+                   from nested MutexLock/ReaderLock scopes and propagated
+                   through the call graph). Any cycle is a potential
+                   deadlock and fails the run. The full graph is committed
+                   as graphviz (tools/lock_order.dot) so the intended order
+                   is reviewable; --self-test fails when the committed file
+                   differs from a fresh graph. The runtime cross-check is
+                   TSan's deadlock detector (tools/run_tsan.sh), which sees
+                   orders established through function pointers and
+                   data-dependent paths that no static scan can follow.
   lock-annotation  Every field written while a lock of the owning class is
                    held must carry FRN_GUARDED_BY: an unannotated field
                    invisibly escapes the clang -Wthread-safety stage, which
@@ -40,31 +39,17 @@ and layering contracts against it:
                    anything it can reach in ordered output must be sorted or
                    proven order-independent.
 
-Backends
---------
-The model is extracted from source by one of three backends (--backend):
+Front end
+---------
+The model is extracted from source by a pure-python lexical front end:
+comment/string-aware line splitting, scope tracking (namespace/class/function
+by brace depth), guard-scope tracking for held-lock sets, and a name-based
+call scan. No dependencies beyond python3. Declarations, annotations,
+includes, lock sites and guard scopes are recoverable lexically because the
+repo's locking idiom is strictly scoped (`MutexLock lock(mu_);` —
+tools/lint.py's raii-temporary rule guarantees guards are named locals).
 
-  libclang   python clang bindings over compile_commands.json. Used for
-             call-graph refinement (AST-accurate call edges per function).
-  ast-json   `clang -Xclang -ast-dump=json -fsyntax-only` per TU, with
-             per-TU JSON caching keyed on the file's content hash
-             (--cache-dir), also call-graph refinement.
-  tokens     A pure-python lexical front end: comment/string-aware line
-             splitting, scope tracking (namespace/class/function by brace
-             depth), guard-scope tracking for held-lock sets, and a
-             name-based call scan. No dependencies beyond python3.
-
-`--backend auto` (the default) picks the best available. The tokens backend
-is the *reference* implementation: declarations, annotations, includes, lock
-sites and guard scopes are lexical facts extracted by it under every
-backend, because the repo's locking idiom is strictly scoped (`MutexLock
-lock(mu_);` — tools/lint.py's raii-temporary rule guarantees guards are
-named locals). The clang backends only replace the name-based call scan with
-AST-derived call edges; when clang is missing or fails, the run degrades to
-tokens and says so, it never silently checks less than the tokens backend
-would.
-
-Call-graph conservatism: the tokens call scan resolves a call site to every
+Call-graph conservatism: the call scan resolves a call site to every
 known function with that name (it cannot do overload/receiver resolution).
 That over-approximation can only add lock-order edges and determinism taint,
 never hide any — false positives are suppressed in place, with a rationale.
@@ -84,18 +69,14 @@ Exit codes: 0 clean, 1 findings, 2 internal/usage error.
 Usage:
   tools/analyze.py                          # all passes over src/
   tools/analyze.py --passes lock-order,layering
-  tools/analyze.py --self-test              # fixture suite + clean-tree run
+  tools/analyze.py --self-test              # fixtures, clean tree, fresh graph
   tools/analyze.py --list-locks             # dump the mutex inventory
   tools/analyze.py --dot tools/lock_order.dot
 """
 
 import argparse
-import hashlib
-import json
 import os
 import re
-import shutil
-import subprocess
 import sys
 from collections import defaultdict
 
@@ -138,9 +119,8 @@ CLASS_RE = re.compile(
 )
 MUTEX_DECL_RE = re.compile(
     r"^\s*(?:mutable\s+)?(Mutex|SharedMutex)\s+([A-Za-z_]\w*)"
-    r"((?:\s*FRN_\w+\([^)]*\))*)\s*;"
+    r"(?:\s*FRN_\w+\([^)]*\))*\s*;"
 )
-ORDER_ANNOT_RE = re.compile(r"FRN_ACQUIRED_(BEFORE|AFTER)\(([^)]*)\)")
 GUARD_DECL_RE = re.compile(
     r"\b(MutexLock|ReaderLock)\s+[A-Za-z_]\w*\s*\(([^;]*?)\)\s*;"
 )
@@ -198,7 +178,7 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Lexical front end (shared by all backends)
+# Lexical front end
 # ---------------------------------------------------------------------------
 
 def strip_strings(code):
@@ -260,8 +240,6 @@ class MutexDecl:
         self.kind = kind            # Mutex | SharedMutex
         self.rel = rel
         self.line = line
-        self.before = []            # lock names from FRN_ACQUIRED_BEFORE
-        self.after = []             # lock names from FRN_ACQUIRED_AFTER
 
 
 class FieldDecl:
@@ -303,7 +281,6 @@ class Model:
         self.functions = []         # [Function]
         self.by_name = defaultdict(list)           # bare name -> [Function]
         self.unordered_names = {}   # rel -> names unordered in its include closure
-        self.notes = []
 
     def add_function(self, fn):
         self.functions.append(fn)
@@ -401,21 +378,7 @@ def extract_model(files, root):
 
     for rel, (rows, text) in sorted(parsed.items()):
         _scan_file(model, rel, rows, text)
-
-    # Attach FRN_ACQUIRED_BEFORE/AFTER annotation text to declared lock ids.
-    for decl in model.mutexes.values():
-        decl.before = [_resolve_annot(model, decl, n) for n in decl.before]
-        decl.after = [_resolve_annot(model, decl, n) for n in decl.after]
     return model
-
-
-def _resolve_annot(model, decl, name):
-    """Resolves a lock name from an ordering annotation to a lock id."""
-    cls = decl.lock_id.rsplit("::", 1)[0]
-    if f"{cls}::{name}" in model.mutexes:
-        return f"{cls}::{name}"
-    hits = [lid for lid in model.mutexes if lid.endswith(f"::{name}")]
-    return hits[0] if len(hits) == 1 else name
 
 
 def _scan_file(model, rel, rows, text):
@@ -523,12 +486,8 @@ def _scan_file(model, rel, rows, text):
             cm = CLASS_RE.search(code)
             if mm and qual_class():
                 lock_id = f"{qual_class()}::{mm.group(2)}"
-                decl = MutexDecl(lock_id, mm.group(1), rel, lineno)
-                for am in ORDER_ANNOT_RE.finditer(mm.group(3) or ""):
-                    names = [n.strip() for n in am.group(2).split(",")]
-                    (decl.before if am.group(1) == "BEFORE"
-                     else decl.after).extend(names)
-                model.mutexes[lock_id] = decl
+                model.mutexes[lock_id] = MutexDecl(lock_id, mm.group(1), rel,
+                                                   lineno)
                 if lock_id not in model.classes_mutexes[qual_class()]:
                     model.classes_mutexes[qual_class()].append(lock_id)
             elif cm and "}" not in code[cm.end():]:
@@ -538,8 +497,7 @@ def _scan_file(model, rel, rows, text):
                     fm2 = FIELD_DECL_RE.match(code)
                     if fm2:
                         annots = fm2.group(3) or ""
-                        gb = re.search(r"FRN_(?:PT_)?GUARDED_BY\(([^)]*)\)",
-                                       annots)
+                        gb = re.search(r"FRN_GUARDED_BY\(([^)]*)\)", annots)
                         model.fields[(qual_class(), fm2.group(2))] = FieldDecl(
                             qual_class(), fm2.group(2), fm2.group(1),
                             gb.group(1) if gb else None, rel, lineno)
@@ -632,166 +590,6 @@ def _resolve_lock(model, expr, enclosing_cls, fn, lines, rel):
 
 
 # ---------------------------------------------------------------------------
-# Clang backends (call-graph refinement; tokens facts are kept regardless)
-# ---------------------------------------------------------------------------
-
-def load_compile_commands(build_dir):
-    path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(path):
-        return None
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
-
-
-def _cache_key(path, extra=""):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        h.update(f.read())
-    h.update(extra.encode())
-    return h.hexdigest()
-
-
-def _walk_ast_json(node, current_fn, edges):
-    """Collects call edges (caller qual-name -> callee name) from a clang
-    -ast-dump=json tree. Only names are kept: they are matched against the
-    token model's functions, which stay the source of truth for everything
-    else."""
-    kind = node.get("kind", "")
-    if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                "CXXDestructorDecl") and node.get("inner"):
-        current_fn = node.get("name", current_fn)
-    if kind in ("CallExpr", "CXXMemberCallExpr", "CXXOperatorCallExpr"):
-        ref = node
-        # The callee is the first inner ref with a referencedDecl.
-        stack = list(node.get("inner", []))
-        while stack:
-            n = stack.pop(0)
-            rd = n.get("referencedDecl")
-            if rd and rd.get("name") and current_fn:
-                edges[current_fn].add(rd["name"])
-                break
-            stack = list(n.get("inner", [])) + stack
-    for child in node.get("inner", []) or []:
-        if isinstance(child, dict):
-            _walk_ast_json(child, current_fn, edges)
-
-
-def ast_json_call_edges(commands, cache_dir, notes):
-    """Backend `ast-json`: clang -ast-dump=json per TU, cached by file hash."""
-    clang = shutil.which("clang++") or shutil.which("clang")
-    if clang is None:
-        raise RuntimeError("clang not installed")
-    if commands is None:
-        raise RuntimeError("compile_commands.json not found "
-                           "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-    edges = defaultdict(set)
-    for entry in commands:
-        src = entry.get("file", "")
-        if not src.endswith(".cc"):
-            continue
-        cached = None
-        key = None
-        if cache_dir:
-            key = os.path.join(cache_dir, _cache_key(src) + ".json")
-            if os.path.isfile(key):
-                cached = key
-        if cached:
-            with open(cached, encoding="utf-8") as f:
-                tu_edges = {k: set(v) for k, v in json.load(f).items()}
-        else:
-            args = entry.get("arguments")
-            if not args:
-                args = entry.get("command", "").split()
-            # Swap the compiler and strip -c/-o: syntax-only AST dump.
-            args = [a for a in args[1:] if a not in ("-c", "-o")]
-            cmd = [clang, "-fsyntax-only", "-Xclang", "-ast-dump=json"] + args
-            out = subprocess.run(cmd, cwd=entry.get("directory", "."),
-                                 capture_output=True, text=True, timeout=300)
-            if out.returncode != 0:
-                raise RuntimeError(f"clang AST dump failed for {src}")
-            tree = json.loads(out.stdout)
-            tu = defaultdict(set)
-            _walk_ast_json(tree, None, tu)
-            tu_edges = tu
-            if key:
-                with open(key, "w", encoding="utf-8") as f:
-                    json.dump({k: sorted(v) for k, v in tu_edges.items()}, f)
-        for k, v in tu_edges.items():
-            edges[k].update(v)
-    return edges
-
-
-def libclang_call_edges(commands, notes):
-    """Backend `libclang`: python clang bindings over compile_commands.json."""
-    import clang.cindex as ci  # raises ImportError when absent
-    index = ci.Index.create()
-    edges = defaultdict(set)
-    for entry in commands or []:
-        src = entry.get("file", "")
-        if not src.endswith(".cc"):
-            continue
-        args = entry.get("arguments")
-        if not args:
-            args = entry.get("command", "").split()
-        args = [a for a in args[1:] if a not in ("-c", "-o", src)]
-        tu = index.parse(src, args=args)
-        def walk(cursor, current):
-            if cursor.kind in (ci.CursorKind.FUNCTION_DECL,
-                               ci.CursorKind.CXX_METHOD,
-                               ci.CursorKind.CONSTRUCTOR,
-                               ci.CursorKind.DESTRUCTOR):
-                if cursor.is_definition():
-                    current = cursor.spelling
-            elif cursor.kind == ci.CursorKind.CALL_EXPR and current:
-                if cursor.spelling:
-                    edges[current].add(cursor.spelling)
-            for child in cursor.get_children():
-                walk(child, current)
-        walk(tu.cursor, None)
-    return edges
-
-
-def refine_call_graph(model, backend, build_dir, cache_dir):
-    """Replaces the name-scan call targets with AST-derived edges when a
-    clang backend is requested and works; returns the backend actually used.
-
-    The AST edges are *names* per caller; they are intersected with the token
-    model so every fact still maps to a scanned source line. On any failure
-    the tokens call scan stands — degrading, never silently narrowing."""
-    if backend == "tokens":
-        return "tokens"
-    commands = load_compile_commands(build_dir)
-    try:
-        if backend in ("auto", "libclang"):
-            try:
-                edges = libclang_call_edges(commands, model.notes)
-                _apply_ast_edges(model, edges)
-                return "libclang"
-            except ImportError:
-                if backend == "libclang":
-                    raise RuntimeError("python clang bindings not available")
-        edges = ast_json_call_edges(commands, cache_dir, model.notes)
-        _apply_ast_edges(model, edges)
-        return "ast-json"
-    except (RuntimeError, OSError, subprocess.TimeoutExpired,
-            json.JSONDecodeError) as e:
-        model.notes.append(
-            f"note: clang backend unavailable ({e}); using tokens call scan")
-        return "tokens"
-
-
-def _apply_ast_edges(model, edges):
-    """Filters each function's token-scanned calls to AST-confirmed names."""
-    for fn in model.functions:
-        confirmed = edges.get(fn.name, None)
-        if confirmed is None:
-            continue  # function not seen by clang (header-only, macros, ...)
-        fn.calls = [c for c in fn.calls if c[0] in confirmed]
-
-
-# ---------------------------------------------------------------------------
 # Pass: lock-order
 # ---------------------------------------------------------------------------
 
@@ -822,17 +620,20 @@ def _transitive_acquires(model):
     return acq
 
 
-def pass_lock_order(model, findings, dot_path=None):
-    """Cycle detection over the global acquisition-order graph."""
+def pass_lock_order(model, findings):
+    """Cycle detection over the global acquisition-order graph; returns the
+    edges with their witnesses (for render_dot)."""
     # edge (a, b) -> list of witnesses (rel, line, via, suppressed)
     edges = defaultdict(list)
 
     def add_edge(a, b, rel, line, via, suppressed):
         if a == b:
             # The static model is instance-blind: two locks with one id may
-            # be different objects (per-shard mutexes). Same-instance
-            # recursion is the runtime lockdep's job (sync.h); flagging every
-            # same-id pair here would drown the signal.
+            # be different objects (per-shard mutexes), so flagging every
+            # same-id pair here would drown the signal. Same-instance
+            # recursion within one function is a clang -Wthread-safety
+            # compile error; across functions it deadlocks, and
+            # tools/run_tsan.sh's per-binary timeout turns that into a failure.
             return
         edges[(a, b)].append((rel, line, via, suppressed))
 
@@ -855,13 +656,6 @@ def pass_lock_order(model, findings, dot_path=None):
                     for h in held_ids:
                         add_edge(h, target, fn.rel, line,
                                  f"{fn.qual_name} -> {callee.qual_name}", sup)
-
-    # Declared ordering annotations (FRN_ACQUIRED_BEFORE/AFTER).
-    for decl in model.mutexes.values():
-        for b in decl.before:
-            add_edge(decl.lock_id, b, decl.rel, decl.line, "annotation", False)
-        for a in decl.after:
-            add_edge(a, decl.lock_id, decl.rel, decl.line, "annotation", False)
 
     # Effective graph: drop edges whose every witness is suppressed.
     graph = defaultdict(set)
@@ -922,17 +716,16 @@ def pass_lock_order(model, findings, dot_path=None):
             first[0], first[1], "lock-order",
             f"lock acquisition cycle: {cycle} — witnesses: {detail}"))
 
-    if dot_path:
-        emit_dot(model, edges, dot_path)
     return edges
 
 
-def emit_dot(model, edges, path):
-    """Writes the acquisition graph as graphviz: every declared mutex is a
-    node (annotated ones carry their kind), observed edges solid, suppressed
-    or annotation-declared edges dashed."""
+def render_dot(model, edges):
+    """The acquisition graph as graphviz text: every declared mutex is a node
+    labeled with its kind and file, observed edges solid, suppressed edges
+    dashed, each labeled with its first witness's file. Labels carry no line
+    numbers, so the committed graph changes only when the order does."""
     lines = [
-        "// Generated by tools/analyze.py (lock-order pass). Do not edit.",
+        f"// Generated by `python3 tools/analyze.py --dot {DOT_PATH}`. Do not edit.",
         "// Nodes: every frn::Mutex/SharedMutex declaration in the scanned",
         "// tree. Edges: A -> B when B can be acquired while A is held.",
         "digraph lock_order {",
@@ -942,7 +735,7 @@ def emit_dot(model, edges, path):
     for lock_id in sorted(model.mutexes):
         decl = model.mutexes[lock_id]
         lines.append(f'  "{lock_id}" [label="{lock_id}\\n({decl.kind}, '
-                     f'{decl.rel}:{decl.line})"];')
+                     f'{decl.rel})"];')
     seen = set()
     for (a, b), wits in sorted(edges.items()):
         if (a, b) in seen:
@@ -951,11 +744,9 @@ def emit_dot(model, edges, path):
         live = [w for w in wits if not w[3]]
         style = "solid" if live else "dashed"
         w = (live or wits)[0]
-        lines.append(f'  "{a}" -> "{b}" [style={style}, '
-                     f'label="{w[0]}:{w[1]}"];')
+        lines.append(f'  "{a}" -> "{b}" [style={style}, label="{w[0]}"];')
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1090,14 +881,15 @@ def collect_files(root, paths):
     return sorted(set(files))
 
 
-def run_analysis(root, paths, passes, backend, build_dir, cache_dir,
-                 dot_path=None):
+def run_analysis(root, paths, passes):
+    """Returns the model, the sorted findings and the lock-order edges
+    (empty unless the lock-order pass ran)."""
     files = collect_files(root, paths)
     model = extract_model(files, root)
-    used = refine_call_graph(model, backend, build_dir, cache_dir)
     findings = []
+    edges = {}
     if "lock-order" in passes:
-        pass_lock_order(model, findings, dot_path)
+        edges = pass_lock_order(model, findings)
     if "lock-annotation" in passes:
         pass_lock_annotation(model, findings)
     if "layering" in passes:
@@ -1105,16 +897,18 @@ def run_analysis(root, paths, passes, backend, build_dir, cache_dir,
     if "determinism" in passes:
         pass_determinism(model, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.pass_id))
-    return model, findings, used
+    return model, findings, edges
 
 
 EXPECT_RE = re.compile(r"\[expect:([\w\-]+)\]")
+DOT_PATH = os.path.join("tools", "lock_order.dot")
 
 
-def self_test(backend, build_dir, cache_dir, fixture=None):
+def self_test(fixture=None):
     """Runs every pass over each fixture tree and checks the [expect:...]
-    markers, then asserts the real tree is clean. With `fixture`, runs just
-    that fixture dir (the ctest per-pass suites) and skips the tree scan."""
+    markers, then asserts the real tree is clean and the committed lock-order
+    graph matches a fresh one. With `fixture`, runs just that fixture dir
+    (the ctest per-pass suites) and skips the tree checks."""
     fixture_root = os.path.join(REPO_ROOT, "tests", FIXTURE_DIR_NAME)
     ok = True
     for name in sorted(os.listdir(fixture_root)):
@@ -1128,10 +922,7 @@ def self_test(backend, build_dir, cache_dir, fixture=None):
                 for lineno, line in enumerate(fh, start=1):
                     for m in EXPECT_RE.finditer(line):
                         expected.add((rel, lineno, m.group(1)))
-        # Fixtures are self-contained trees: always the tokens backend (the
-        # reference implementation; fixtures have no compile_commands.json).
-        _, findings, _ = run_analysis(fdir, ["."], PASSES, "tokens",
-                                      build_dir, None)
+        _, findings, _ = run_analysis(fdir, ["."], PASSES)
         found = {(f.path, f.line, f.pass_id) for f in findings}
         missing = expected - found
         unexpected = found - expected
@@ -1148,19 +939,26 @@ def self_test(backend, build_dir, cache_dir, fixture=None):
     if fixture is not None:
         return 0 if ok else 1
 
-    model, findings, used = run_analysis(REPO_ROOT, ["src"], PASSES, backend,
-                                         build_dir, cache_dir)
-    for note in model.notes:
-        print(note)
+    model, findings, edges = run_analysis(REPO_ROOT, ["src"], PASSES)
     if findings:
         ok = False
-        print(f"self-test: src/ scan NOT clean ({used} backend):")
+        print("self-test: src/ scan NOT clean:")
         for f in findings:
             print(f"  {f}")
     else:
         print(f"self-test: src/ scan clean "
-              f"({len(model.files)} files, {used} backend, "
-              f"{len(model.mutexes)} mutexes, {len(model.functions)} functions)")
+              f"({len(model.files)} files, {len(model.mutexes)} mutexes, "
+              f"{len(model.functions)} functions)")
+
+    fresh = render_dot(model, edges)
+    with open(os.path.join(REPO_ROOT, DOT_PATH), encoding="utf-8") as f:
+        committed = f.read()
+    if committed != fresh:
+        ok = False
+        print(f"self-test: {DOT_PATH} is stale; regenerate it with:\n"
+              f"  python3 tools/analyze.py --dot {DOT_PATH}")
+    else:
+        print(f"self-test: {DOT_PATH} is current ({len(edges)} edge(s))")
     return 0 if ok else 1
 
 
@@ -1173,12 +971,6 @@ def main(argv):
                     help="files/dirs to scan (default: src)")
     ap.add_argument("--passes", default=",".join(PASSES),
                     help="comma list out of: " + ", ".join(PASSES))
-    ap.add_argument("--backend", default="auto",
-                    choices=["auto", "libclang", "ast-json", "tokens"])
-    ap.add_argument("--build-dir", default=os.path.join(REPO_ROOT, "build"),
-                    help="where compile_commands.json lives")
-    ap.add_argument("--cache-dir", default=None,
-                    help="AST-dump cache (default: <build-dir>/analyze-cache)")
     ap.add_argument("--dot", default=None, metavar="FILE",
                     help="write the lock-order graph as graphviz")
     ap.add_argument("--list-locks", action="store_true",
@@ -1189,11 +981,8 @@ def main(argv):
     ap.add_argument("-q", "--quiet", action="store_true")
     args = ap.parse_args(argv)
 
-    cache_dir = args.cache_dir or os.path.join(args.build_dir, "analyze-cache")
-
     if args.self_test:
-        return self_test(args.backend, args.build_dir, cache_dir,
-                         fixture=args.fixture)
+        return self_test(fixture=args.fixture)
 
     passes = tuple(p.strip() for p in args.passes.split(",") if p.strip())
     for p in passes:
@@ -1202,9 +991,11 @@ def main(argv):
             return 2
     paths = args.paths or ["src"]
 
-    model, findings, used = run_analysis(
-        args.root, paths, passes, args.backend, args.build_dir, cache_dir,
-        dot_path=args.dot)
+    model, findings, edges = run_analysis(args.root, paths, passes)
+
+    if args.dot and "lock-order" in passes:
+        with open(args.dot, "w", encoding="utf-8") as f:
+            f.write(render_dot(model, edges))
 
     if args.list_locks:
         for lock_id in sorted(model.mutexes):
@@ -1212,14 +1003,12 @@ def main(argv):
             print(f"{lock_id}  ({d.kind})  {d.rel}:{d.line}")
         return 0
 
-    for note in model.notes:
-        print(note, file=sys.stderr)
     for f in findings:
         print(f)
     if not args.quiet:
-        print(f"analyze: {len(model.files)} files, {used} backend, "
-              f"{len(model.mutexes)} mutexes, {len(model.functions)} "
-              f"functions, {len(findings)} finding(s)", file=sys.stderr)
+        print(f"analyze: {len(model.files)} files, {len(model.mutexes)} "
+              f"mutexes, {len(model.functions)} functions, "
+              f"{len(findings)} finding(s)", file=sys.stderr)
     return 1 if findings else 0
 
 

@@ -4,11 +4,9 @@
 #   lint            tools/lint.py --self-test (fixtures + clean-tree scan)
 #   analyze         tools/analyze.py --self-test (concurrency-contract
 #                   passes: lock-order, lock-annotation, layering,
-#                   determinism; fixture suites + clean-tree scan). The
-#                   tokens backend always runs; when clang and a
-#                   compile_commands.json are present the call graph is
-#                   refined from per-TU AST dumps, cached under
-#                   build/analyze-cache keyed on file content hash.
+#                   determinism; fixture suites + clean-tree scan + the
+#                   committed tools/lock_order.dot against a fresh graph).
+#                   Pure python3, no build needed.
 #   format          check-only clang-format over the curated file list below
 #                   [skipped when clang-format is not installed]
 #   tier1           default build + full ctest suite (build/), the §5.2
@@ -32,6 +30,8 @@
 #                   fork churn, the full worker grid) from the ASan tree
 #                   [skipped with --skip-asan]
 #   tsan            ThreadSanitizer concurrency subset via tools/run_tsan.sh
+#                   (each binary under a timeout; TSan's deadlock detector
+#                   is the runtime lock-order check)
 #   ubsan           UBSan build + full ctest suite (build-ubsan/)
 #
 # Every stage runs even after a failure (the summary table at the end shows
@@ -139,12 +139,7 @@ stage_lint() {
 }
 
 stage_analyze() {
-  # The analyzer prints its own note and falls back to the tokens backend
-  # when clang (or the compile-commands export) is unavailable; the
-  # contract passes still run either way.
-  python3 "${repo_root}/tools/analyze.py" --self-test \
-    --build-dir "${repo_root}/build" \
-    --cache-dir "${repo_root}/build/analyze-cache"
+  python3 "${repo_root}/tools/analyze.py" --self-test
 }
 
 stage_format() {
@@ -158,9 +153,8 @@ stage_format() {
 }
 
 stage_tier1() {
-  # compile_commands.json is always exported: the analyze and clang-tidy
-  # stages key off it, and tools outside CI (editors, analyze.py runs by
-  # hand) expect it in build/.
+  # compile_commands.json is always exported: the clang-tidy stage falls
+  # back to it, and editors expect it in build/.
   cmake -S "${repo_root}" -B "${repo_root}/build" \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null &&
     cmake --build "${repo_root}/build" -j"${jobs}" &&
