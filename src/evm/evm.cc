@@ -118,10 +118,15 @@ const char* ExecStatusName(ExecStatus status) {
 }
 
 Address Evm::CreateAddress(const Address& creator, uint64_t nonce) {
-  std::vector<Bytes> items;
-  items.push_back(RlpEncoder::EncodeBytes(creator.bytes().data(), creator.bytes().size()));
-  items.push_back(RlpEncoder::EncodeUint(nonce));
-  Hash h = Keccak256(RlpEncoder::EncodeList(items));
+  const auto& sender = creator.bytes();
+  const size_t payload =
+      RlpEncoder::StringSize(sender.data(), sender.size()) + RlpEncoder::UintSize(nonce);
+  Bytes rlp;
+  rlp.reserve(RlpEncoder::HeaderSize(payload) + payload);
+  RlpEncoder::AppendListHeader(&rlp, payload);
+  RlpEncoder::AppendString(&rlp, sender.data(), sender.size());
+  RlpEncoder::AppendUint(&rlp, nonce);
+  Hash h = Keccak256(rlp);
   std::array<uint8_t, 20> out;
   std::copy(h.bytes().begin() + 12, h.bytes().end(), out.begin());
   return Address(out);

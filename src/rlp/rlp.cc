@@ -1,142 +1,145 @@
 #include "src/rlp/rlp.h"
 
+#include <algorithm>
+
 namespace frn {
 
-void RlpEncoder::AppendLength(Bytes* out, size_t len, uint8_t offset) {
+namespace {
+
+// A header's first byte is `offset` plus the payload length when that is
+// under 56; past that, offset + 55 plus the number of big-endian length bytes
+// that follow it.
+void AppendHeader(Bytes* out, size_t len, uint8_t offset) {
   if (len < 56) {
     out->push_back(static_cast<uint8_t>(offset + len));
     return;
   }
-  // Length-of-length form.
-  uint8_t be[8];
-  int n = 0;
-  for (int i = 7; i >= 0; --i) {
-    uint8_t b = static_cast<uint8_t>(len >> (8 * i));
-    if (n == 0 && b == 0) {
-      continue;
-    }
-    be[n++] = b;
-  }
+  const int n = static_cast<int>(RlpEncoder::HeaderSize(len)) - 1;
   out->push_back(static_cast<uint8_t>(offset + 55 + n));
-  out->insert(out->end(), be, be + n);
+  for (int i = n - 1; i >= 0; --i) {
+    out->push_back(static_cast<uint8_t>(len >> (8 * i)));
+  }
 }
 
-Bytes RlpEncoder::EncodeBytes(const uint8_t* data, size_t len) {
-  Bytes out;
-  if (len == 1 && data[0] < 0x80) {
-    out.push_back(data[0]);
-    return out;
+bool IsOwnEncoding(const uint8_t* data, size_t len) { return len == 1 && data[0] < 0x80; }
+
+// The minimal big-endian byte length of an integer.
+size_t UintLength(const U256& value) { return static_cast<size_t>(value.BitLength() + 7) / 8; }
+
+}  // namespace
+
+size_t RlpEncoder::HeaderSize(size_t len) {
+  size_t size = 1;
+  if (len >= 56) {
+    for (; len != 0; len >>= 8) {
+      ++size;
+    }
   }
-  AppendLength(&out, len, 0x80);
-  out.insert(out.end(), data, data + len);
+  return size;
+}
+
+size_t RlpEncoder::StringSize(const uint8_t* data, size_t len) {
+  return IsOwnEncoding(data, len) ? 1 : HeaderSize(len) + len;
+}
+
+size_t RlpEncoder::UintSize(const U256& value) {
+  const size_t len = UintLength(value);
+  return len == 1 && value.AsUint64() < 0x80 ? 1 : 1 + len;
+}
+
+void RlpEncoder::AppendStringHeader(Bytes* out, size_t len) { AppendHeader(out, len, 0x80); }
+
+void RlpEncoder::AppendListHeader(Bytes* out, size_t payload_len) {
+  AppendHeader(out, payload_len, 0xc0);
+}
+
+void RlpEncoder::AppendString(Bytes* out, const uint8_t* data, size_t len) {
+  if (!IsOwnEncoding(data, len)) {
+    AppendStringHeader(out, len);
+  }
+  out->insert(out->end(), data, data + len);
+}
+
+void RlpEncoder::AppendUint(Bytes* out, const U256& value) {
+  const std::array<uint8_t, 32> be = value.ToBigEndian();
+  const size_t len = UintLength(value);
+  AppendString(out, be.data() + (32 - len), len);
+}
+
+Bytes RlpEncoder::EncodeBytes(const Bytes& data) {
+  Bytes out;
+  out.reserve(StringSize(data.data(), data.size()));
+  AppendString(&out, data.data(), data.size());
   return out;
 }
-
-Bytes RlpEncoder::EncodeBytes(const Bytes& data) { return EncodeBytes(data.data(), data.size()); }
 
 Bytes RlpEncoder::EncodeUint(const U256& value) {
-  auto be = value.ToBigEndian();
-  size_t first = 0;
-  while (first < 32 && be[first] == 0) {
-    ++first;
-  }
-  return EncodeBytes(be.data() + first, 32 - first);
-}
-
-Bytes RlpEncoder::EncodeUint(uint64_t value) { return EncodeUint(U256(value)); }
-
-Bytes RlpEncoder::EncodeList(const std::vector<Bytes>& encoded_items) {
-  size_t payload_len = 0;
-  for (const Bytes& item : encoded_items) {
-    payload_len += item.size();
-  }
   Bytes out;
-  AppendLength(&out, payload_len, 0xc0);
-  for (const Bytes& item : encoded_items) {
-    out.insert(out.end(), item.begin(), item.end());
-  }
+  out.reserve(UintSize(value));
+  AppendUint(&out, value);
   return out;
 }
 
-bool RlpDecoder::Decode(const Bytes& data, Item* out) {
-  size_t consumed = 0;
-  if (!DecodeItem(data.data(), data.size(), &consumed, out)) {
+bool RlpReader::Next(RlpItem* item) {
+  const size_t avail = static_cast<size_t>(end_ - pos_);
+  if (avail == 0) {
     return false;
   }
-  return consumed == data.size();
+  const uint8_t prefix = pos_[0];
+  if (prefix < 0x80) {
+    *item = RlpItem{false, pos_, 1};
+    ++pos_;
+    return true;
+  }
+  const bool is_list = prefix >= 0xc0;
+  size_t len = prefix - (is_list ? 0xc0 : 0x80);
+  size_t header = 1;
+  if (len > 55) {
+    // Long form: the next len - 55 bytes (1 to 8) hold the payload length.
+    const size_t n = len - 55;
+    if (avail <= n || pos_[1] == 0) {
+      return false;  // truncated, or a leading zero length byte
+    }
+    len = 0;
+    for (size_t i = 1; i <= n; ++i) {
+      len = (len << 8) | pos_[i];
+    }
+    if (len < 56) {
+      return false;  // the short form was required
+    }
+    header += n;
+  }
+  if (avail - header < len) {
+    return false;
+  }
+  if (!is_list && IsOwnEncoding(pos_ + header, len)) {
+    return false;  // a single byte below 0x80 has no header
+  }
+  *item = RlpItem{is_list, pos_ + header, len};
+  pos_ += header + len;
+  return true;
 }
 
-bool RlpDecoder::DecodeItem(const uint8_t* data, size_t len, size_t* consumed, Item* out) {
-  if (len == 0) {
+bool RlpReader::Decode(const Bytes& data, RlpItem* item) {
+  RlpReader reader(data);
+  return reader.Next(item) && reader.AtEnd();
+}
+
+bool RlpReader::ReadUint(const RlpItem& item, size_t max_len, U256* out) {
+  if (item.is_list || item.size > max_len || (item.size > 0 && item.data[0] == 0)) {
     return false;
   }
-  uint8_t prefix = data[0];
-  if (prefix < 0x80) {
-    out->is_list = false;
-    out->payload = {prefix};
-    *consumed = 1;
-    return true;
-  }
-  auto read_long_len = [&](size_t n_len_bytes, size_t header, size_t* out_len) -> bool {
-    if (len < header) {
-      return false;
-    }
-    size_t v = 0;
-    for (size_t i = 0; i < n_len_bytes; ++i) {
-      v = (v << 8) | data[1 + i];
-    }
-    *out_len = v;
-    return true;
-  };
-  if (prefix <= 0xb7) {
-    size_t plen = prefix - 0x80;
-    if (len < 1 + plen) {
-      return false;
-    }
-    out->is_list = false;
-    out->payload.assign(data + 1, data + 1 + plen);
-    *consumed = 1 + plen;
-    return true;
-  }
-  if (prefix <= 0xbf) {
-    size_t n = prefix - 0xb7;
-    size_t plen;
-    if (!read_long_len(n, 1 + n, &plen) || len < 1 + n + plen) {
-      return false;
-    }
-    out->is_list = false;
-    out->payload.assign(data + 1 + n, data + 1 + n + plen);
-    *consumed = 1 + n + plen;
-    return true;
-  }
-  size_t header;
-  size_t plen;
-  if (prefix <= 0xf7) {
-    header = 1;
-    plen = prefix - 0xc0;
-  } else {
-    size_t n = prefix - 0xf7;
-    header = 1 + n;
-    if (!read_long_len(n, header, &plen)) {
-      return false;
-    }
-  }
-  if (len < header + plen) {
+  *out = U256::FromBigEndian(item.data, item.size);
+  return true;
+}
+
+bool RlpReader::ReadHash(const RlpItem& item, Hash* out) {
+  if (item.is_list || item.size != 32) {
     return false;
   }
-  out->is_list = true;
-  size_t off = header;
-  size_t end = header + plen;
-  while (off < end) {
-    Item child;
-    size_t child_consumed = 0;
-    if (!DecodeItem(data + off, end - off, &child_consumed, &child)) {
-      return false;
-    }
-    out->children.push_back(std::move(child));
-    off += child_consumed;
-  }
-  *consumed = end;
+  std::array<uint8_t, 32> bytes;
+  std::copy(item.data, item.data + 32, bytes.begin());
+  *out = Hash(bytes);
   return true;
 }
 

@@ -94,35 +94,45 @@ Bytes StateDb::StorageKey(const U256& key) {
 }
 
 Bytes StateDb::EncodeAccount(const Account& a) {
-  std::vector<Bytes> items;
-  items.push_back(RlpEncoder::EncodeUint(a.nonce));
-  items.push_back(RlpEncoder::EncodeUint(a.balance));
-  Hash storage_root = a.storage_root.IsZero() ? Mpt::EmptyRoot() : a.storage_root;
-  items.push_back(RlpEncoder::EncodeBytes(storage_root.bytes().data(), 32));
-  items.push_back(RlpEncoder::EncodeBytes(a.code_hash.bytes().data(), 32));
-  return RlpEncoder::EncodeList(items);
+  const U256 nonce(a.nonce);
+  const Hash storage_root = a.storage_root.IsZero() ? Mpt::EmptyRoot() : a.storage_root;
+  // Sized first, so the list header and the four items go into one buffer.
+  const size_t payload = RlpEncoder::UintSize(nonce) + RlpEncoder::UintSize(a.balance) +
+                         RlpEncoder::StringSize(storage_root.bytes().data(), 32) +
+                         RlpEncoder::StringSize(a.code_hash.bytes().data(), 32);
+  Bytes out;
+  out.reserve(RlpEncoder::HeaderSize(payload) + payload);
+  RlpEncoder::AppendListHeader(&out, payload);
+  RlpEncoder::AppendUint(&out, nonce);
+  RlpEncoder::AppendUint(&out, a.balance);
+  RlpEncoder::AppendString(&out, storage_root.bytes().data(), 32);
+  RlpEncoder::AppendString(&out, a.code_hash.bytes().data(), 32);
+  return out;
 }
 
 bool StateDb::DecodeAccount(const Bytes& data, Account* out) {
-  RlpDecoder::Item item;
-  if (!RlpDecoder::Decode(data, &item) || !item.is_list || item.children.size() != 4) {
+  RlpItem list;
+  if (!RlpReader::Decode(data, &list) || !list.is_list) {
     return false;
   }
-  const auto& nonce = item.children[0].payload;
-  out->nonce = U256::FromBigEndian(nonce.data(), nonce.size()).AsUint64();
-  const auto& bal = item.children[1].payload;
-  out->balance = U256::FromBigEndian(bal.data(), bal.size());
-  std::array<uint8_t, 32> h{};
-  if (item.children[2].payload.size() == 32) {
-    std::copy(item.children[2].payload.begin(), item.children[2].payload.end(), h.begin());
+  RlpReader reader(list);
+  RlpItem items[4];
+  for (RlpItem& item : items) {
+    if (!reader.Next(&item)) {
+      return false;
+    }
   }
-  out->storage_root = Hash(h);
-  std::array<uint8_t, 32> ch{};
-  if (item.children[3].payload.size() == 32) {
-    std::copy(item.children[3].payload.begin(), item.children[3].payload.end(), ch.begin());
+  Account account;
+  U256 nonce;
+  if (!reader.AtEnd() || !RlpReader::ReadUint(items[0], 8, &nonce) ||
+      !RlpReader::ReadUint(items[1], 32, &account.balance) ||
+      !RlpReader::ReadHash(items[2], &account.storage_root) ||
+      !RlpReader::ReadHash(items[3], &account.code_hash)) {
+    return false;
   }
-  out->code_hash = Hash(ch);
-  out->exists = true;
+  account.nonce = nonce.AsUint64();
+  account.exists = true;
+  *out = account;
   return true;
 }
 
@@ -302,11 +312,9 @@ U256 StateDb::GetCommittedStorage(const Address& addr, const U256& key) {
     if (a.exists && !a.storage_root.IsZero() && a.storage_root != Mpt::EmptyRoot()) {
       ++stats_.storage_trie_reads;
       auto blob = trie_->Get(a.storage_root, StorageKey(key));
-      if (blob) {
-        RlpDecoder::Item item;
-        if (RlpDecoder::Decode(*blob, &item) && !item.is_list) {
-          value = U256::FromBigEndian(item.payload.data(), item.payload.size());
-        }
+      RlpItem item;
+      if (blob && RlpReader::Decode(*blob, &item)) {
+        RlpReader::ReadUint(item, 32, &value);
       }
     }
   }

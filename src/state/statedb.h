@@ -272,6 +272,13 @@ class StateDb : public WorldState {
   void PrefetchAccount(const Address& addr);
   void PrefetchStorage(const Address& addr, const U256& key);
 
+  // The account's RLP list [nonce, balance, storage root, code hash].
+  static Bytes EncodeAccount(const Account& a);
+  // Inverse of EncodeAccount; false, leaving *out as it was, unless `data`
+  // is a canonical list of four strings: integers without leading zeros (a
+  // nonce of at most 8 bytes) and 32-byte hashes.
+  static bool DecodeAccount(const Bytes& data, Account* out);
+
   const Hash& root() const { return root_; }
   Mpt* trie() { return trie_; }
   // The snapshot handle this instance reads through (invalid when no
@@ -295,8 +302,6 @@ class StateDb : public WorldState {
   Account& Load(const Address& addr);
   static Bytes AccountKey(const Address& addr);
   static Bytes StorageKey(const U256& key);
-  static Bytes EncodeAccount(const Account& a);
-  static bool DecodeAccount(const Bytes& data, Account* out);
 
   // Walks (warming) the account's trie path and decodes what it finds.
   Account WalkAccount(const Address& addr);

@@ -41,15 +41,22 @@ KvStore::HotShard& KvStore::ShardFor(const Hash& key) const {
 }
 
 std::optional<Bytes> KvStore::Get(const Hash& key) {
+  Bytes value;
+  if (!GetInto(key, &value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+bool KvStore::GetInto(const Hash& key, Bytes* out) {
   reads_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<Bytes> value;
   {
     ReaderLock lock(data_mutex_);
     auto it = data_.find(key);
     if (it == data_.end()) {
-      return std::nullopt;
+      return false;
     }
-    value = it->second;
+    out->assign(it->second.begin(), it->second.end());
   }
   if (!IsHot(key)) {
     // Two workers missing the same cold key both pay the latency, as two real
@@ -60,7 +67,7 @@ std::optional<Bytes> KvStore::Get(const Hash& key) {
                            std::memory_order_relaxed);
     Touch(key);
   }
-  return value;
+  return true;
 }
 
 void KvStore::Put(const Hash& key, Bytes value) {

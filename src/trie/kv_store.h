@@ -62,6 +62,8 @@ class KvStore {
 
   // Looks up a node blob; charges latency when the key is not hot.
   std::optional<Bytes> Get(const Hash& key);
+  // Get into a caller's buffer, whose capacity is reused; false when absent.
+  bool GetInto(const Hash& key, Bytes* out);
   // Inserts a node blob; newly written nodes are hot.
   void Put(const Hash& key, Bytes value);
   bool Contains(const Hash& key) const;

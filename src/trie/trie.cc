@@ -24,6 +24,51 @@ Nibbles Slice(const Nibbles& src, size_t from, size_t count) {
   return Nibbles(src.begin() + from, src.begin() + from + count);
 }
 
+void AppendHexPrefix(Bytes* out, const Nibbles& path, bool is_leaf) {
+  const uint8_t flag = is_leaf ? 2 : 0;
+  size_t i = 0;
+  if (path.size() % 2 == 1) {
+    out->push_back(static_cast<uint8_t>(((flag | 1) << 4) | path[0]));
+    i = 1;
+  } else {
+    out->push_back(static_cast<uint8_t>(flag << 4));
+  }
+  for (; i < path.size(); i += 2) {
+    out->push_back(static_cast<uint8_t>((path[i] << 4) | path[i + 1]));
+  }
+}
+
+// A node's path as an RLP string item. The hex-prefix flag byte is below
+// 0x40, so a one-byte encoding is its own item, with no header.
+size_t HexPrefixItemSize(const Nibbles& path) {
+  const size_t len = path.size() / 2 + 1;
+  return len == 1 ? 1 : RlpEncoder::HeaderSize(len) + len;
+}
+
+void AppendHexPrefixItem(Bytes* out, const Nibbles& path, bool is_leaf) {
+  const size_t len = path.size() / 2 + 1;
+  if (len > 1) {
+    RlpEncoder::AppendStringHeader(out, len);
+  }
+  AppendHexPrefix(out, path, is_leaf);
+}
+
+// A child reference is the 32-byte hash of a stored node.
+constexpr size_t kRefItemSize = 33;
+
+// A decoded Node's child references are the hashes themselves.
+const Hash& SelfHash(const Hash& ref) { return ref; }
+
+void AppendRef(Bytes* out, const Hash& ref) {
+  RlpEncoder::AppendString(out, ref.bytes().data(), ref.bytes().size());
+}
+
+// Reads a child reference: exactly 32 bytes, and not the zero hash, which
+// stands for an empty branch slot.
+bool ReadRef(const RlpItem& item, Hash* out) {
+  return RlpReader::ReadHash(item, out) && !IsEmptyRef(*out);
+}
+
 }  // namespace
 
 Nibbles BytesToNibbles(const uint8_t* data, size_t len) {
@@ -38,37 +83,30 @@ Nibbles BytesToNibbles(const uint8_t* data, size_t len) {
 
 Bytes HexPrefixEncode(const Nibbles& path, bool is_leaf) {
   Bytes out;
-  uint8_t flag = is_leaf ? 2 : 0;
-  if (path.size() % 2 == 1) {
-    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | path[0]));
-    for (size_t i = 1; i < path.size(); i += 2) {
-      out.push_back(static_cast<uint8_t>((path[i] << 4) | path[i + 1]));
-    }
-  } else {
-    out.push_back(static_cast<uint8_t>(flag << 4));
-    for (size_t i = 0; i < path.size(); i += 2) {
-      out.push_back(static_cast<uint8_t>((path[i] << 4) | path[i + 1]));
-    }
-  }
+  out.reserve(path.size() / 2 + 1);
+  AppendHexPrefix(&out, path, is_leaf);
   return out;
 }
 
-Nibbles HexPrefixDecode(const Bytes& encoded, bool* is_leaf) {
-  Nibbles out;
-  if (encoded.empty()) {
-    *is_leaf = false;
-    return out;
+bool HexPrefixDecode(const uint8_t* data, size_t len, Nibbles* path, bool* is_leaf) {
+  if (len == 0) {
+    return false;
   }
-  uint8_t flag = encoded[0] >> 4;
+  const uint8_t flag = data[0] >> 4;
+  const bool odd = (flag & 1) != 0;
+  if (flag > 3 || (!odd && (data[0] & 0xF) != 0)) {
+    return false;  // an unknown flag, or a nonzero pad nibble
+  }
   *is_leaf = (flag & 2) != 0;
-  if (flag & 1) {
-    out.push_back(encoded[0] & 0xF);
+  path->clear();
+  if (odd) {
+    path->push_back(data[0] & 0xF);
   }
-  for (size_t i = 1; i < encoded.size(); ++i) {
-    out.push_back(encoded[i] >> 4);
-    out.push_back(encoded[i] & 0xF);
+  for (size_t i = 1; i < len; ++i) {
+    path->push_back(data[i] >> 4);
+    path->push_back(data[i] & 0xF);
   }
-  return out;
+  return true;
 }
 
 Hash Mpt::EmptyRoot() {
@@ -79,80 +117,110 @@ Hash Mpt::EmptyRoot() {
   return kRoot;
 }
 
-bool Mpt::LoadNode(const Hash& ref, Node* out) {
-  auto blob = store_->Get(ref);
-  if (!blob) {
-    return false;
-  }
-  return DecodeNodeBlob(*blob, out);
+bool Mpt::LoadNode(const Hash& ref, Bytes* blob, Node* out) {
+  return store_->GetInto(ref, blob) && DecodeNodeBlob(*blob, out);
 }
 
 bool Mpt::DecodeNodeBlob(const Bytes& blob, Node* out) {
-  RlpDecoder::Item item;
-  if (!RlpDecoder::Decode(blob, &item) || !item.is_list) {
+  RlpItem list;
+  if (!RlpReader::Decode(blob, &list) || !list.is_list) {
     return false;
   }
-  if (item.children.size() == 2) {
+  // Every item is a string: two make a leaf or an extension, 17 a branch.
+  std::array<RlpItem, 17> items;
+  size_t n = 0;
+  for (RlpReader reader(list); !reader.AtEnd(); ++n) {
+    if (n == items.size() || !reader.Next(&items[n]) || items[n].is_list) {
+      return false;
+    }
+  }
+  if (n == 2) {
     bool is_leaf = false;
-    out->path = HexPrefixDecode(item.children[0].payload, &is_leaf);
+    if (!HexPrefixDecode(items[0].data, items[0].size, &out->path, &is_leaf)) {
+      return false;
+    }
     if (is_leaf) {
       out->kind = Node::Kind::kLeaf;
-      out->value = item.children[1].payload;
-    } else {
-      out->kind = Node::Kind::kExtension;
-      std::array<uint8_t, 32> h{};
-      if (item.children[1].payload.size() == 32) {
-        std::copy(item.children[1].payload.begin(), item.children[1].payload.end(), h.begin());
-      }
-      out->child = Hash(h);
+      out->value.assign(items[1].data, items[1].data + items[1].size);
+      return true;
     }
-    return true;
+    out->kind = Node::Kind::kExtension;
+    out->value.clear();
+    return ReadRef(items[1], &out->child);
   }
-  if (item.children.size() == 17) {
-    out->kind = Node::Kind::kBranch;
-    for (int i = 0; i < 16; ++i) {
-      std::array<uint8_t, 32> h{};
-      if (item.children[i].payload.size() == 32) {
-        std::copy(item.children[i].payload.begin(), item.children[i].payload.end(), h.begin());
-      }
-      out->children[i] = Hash(h);
+  if (n != 17) {
+    return false;
+  }
+  out->kind = Node::Kind::kBranch;
+  out->path.clear();
+  for (size_t i = 0; i < 16; ++i) {
+    if (items[i].size == 0) {
+      out->children[i] = Hash();
+    } else if (!ReadRef(items[i], &out->children[i])) {
+      return false;
     }
-    out->value = item.children[16].payload;
-    return true;
   }
-  return false;
+  out->value.assign(items[16].data, items[16].data + items[16].size);
+  return true;
 }
 
-Bytes Mpt::EncodeNode(const Node& node) {
-  std::vector<Bytes> items;
+template <typename N, typename HashOf>
+Bytes Mpt::EncodeNode(const N& node, HashOf hash_of) {
+  // The items are sized first, so the list header and every item go into
+  // one buffer allocated at its final size.
+  size_t payload = 0;
   switch (node.kind) {
     case Node::Kind::kLeaf:
-      items.push_back(RlpEncoder::EncodeBytes(HexPrefixEncode(node.path, true)));
-      items.push_back(RlpEncoder::EncodeBytes(node.value));
+      payload = HexPrefixItemSize(node.path) +
+                RlpEncoder::StringSize(node.value.data(), node.value.size());
       break;
-    case Node::Kind::kExtension: {
-      items.push_back(RlpEncoder::EncodeBytes(HexPrefixEncode(node.path, false)));
-      const auto& b = node.child.bytes();
-      items.push_back(RlpEncoder::EncodeBytes(b.data(), b.size()));
+    case Node::Kind::kExtension:
+      payload = HexPrefixItemSize(node.path) + kRefItemSize;
       break;
-    }
     case Node::Kind::kBranch:
-      for (int i = 0; i < 16; ++i) {
-        if (IsEmptyRef(node.children[i])) {
-          items.push_back(RlpEncoder::EncodeBytes(Bytes{}));
-        } else {
-          const auto& b = node.children[i].bytes();
-          items.push_back(RlpEncoder::EncodeBytes(b.data(), b.size()));
-        }
+      for (const auto& child : node.children) {
+        payload += IsEmptyRef(hash_of(child)) ? 1 : kRefItemSize;
       }
-      items.push_back(RlpEncoder::EncodeBytes(node.value));
+      payload += RlpEncoder::StringSize(node.value.data(), node.value.size());
       break;
   }
-  return RlpEncoder::EncodeList(items);
+  Bytes out;
+  out.reserve(RlpEncoder::HeaderSize(payload) + payload);
+  RlpEncoder::AppendListHeader(&out, payload);
+  switch (node.kind) {
+    case Node::Kind::kLeaf:
+      AppendHexPrefixItem(&out, node.path, true);
+      RlpEncoder::AppendString(&out, node.value.data(), node.value.size());
+      break;
+    case Node::Kind::kExtension:
+      AppendHexPrefixItem(&out, node.path, false);
+      AppendRef(&out, hash_of(node.child));
+      break;
+    case Node::Kind::kBranch:
+      for (const auto& child : node.children) {
+        const Hash& ref = hash_of(child);
+        if (IsEmptyRef(ref)) {
+          RlpEncoder::AppendStringHeader(&out, 0);
+        } else {
+          AppendRef(&out, ref);
+        }
+      }
+      RlpEncoder::AppendString(&out, node.value.data(), node.value.size());
+      break;
+  }
+  return out;
+}
+
+std::optional<Bytes> Mpt::ReencodeNodeForTest(const Bytes& blob) {
+  Node node;
+  if (!DecodeNodeBlob(blob, &node)) {
+    return std::nullopt;
+  }
+  return EncodeNode(node, SelfHash);
 }
 
 Hash Mpt::StoreNode(const Node& node) {
-  Bytes encoded = EncodeNode(node);
+  Bytes encoded = EncodeNode(node, SelfHash);
   Hash ref = Keccak256(encoded);
   store_->Put(ref, std::move(encoded));
   return ref;
@@ -162,42 +230,41 @@ std::optional<Bytes> Mpt::Get(const Hash& root, const Bytes& key) {
   if (root == EmptyRoot() || IsEmptyRef(root)) {
     return std::nullopt;
   }
-  Nibbles nibbles = BytesToNibbles(key.data(), key.size());
-  return GetAt(root, nibbles, 0);
-}
-
-std::optional<Bytes> Mpt::GetAt(const Hash& ref, const Nibbles& key, size_t depth) {
+  const Nibbles nibbles = BytesToNibbles(key.data(), key.size());
+  // One blob buffer and one decoded node serve the whole walk.
+  Bytes blob;
   Node node;
-  if (!LoadNode(ref, &node)) {
-    return std::nullopt;
-  }
-  switch (node.kind) {
-    case Node::Kind::kLeaf: {
-      if (key.size() - depth == node.path.size() &&
-          CommonPrefixLen(key, depth, node.path, 0) == node.path.size()) {
-        return node.value;
-      }
-      return std::nullopt;
-    }
-    case Node::Kind::kExtension: {
-      if (key.size() - depth < node.path.size() ||
-          CommonPrefixLen(key, depth, node.path, 0) != node.path.size()) {
+  Hash ref = root;
+  size_t depth = 0;
+  while (LoadNode(ref, &blob, &node)) {
+    switch (node.kind) {
+      case Node::Kind::kLeaf:
+        if (nibbles.size() - depth == node.path.size() &&
+            CommonPrefixLen(nibbles, depth, node.path, 0) == node.path.size()) {
+          return std::move(node.value);
+        }
         return std::nullopt;
-      }
-      return GetAt(node.child, key, depth + node.path.size());
-    }
-    case Node::Kind::kBranch: {
-      if (depth == key.size()) {
-        if (node.value.empty()) {
+      case Node::Kind::kExtension:
+        if (nibbles.size() - depth < node.path.size() ||
+            CommonPrefixLen(nibbles, depth, node.path, 0) != node.path.size()) {
           return std::nullopt;
         }
-        return node.value;
-      }
-      const Hash& child = node.children[key[depth]];
-      if (IsEmptyRef(child)) {
-        return std::nullopt;
-      }
-      return GetAt(child, key, depth + 1);
+        depth += node.path.size();
+        ref = node.child;
+        break;
+      case Node::Kind::kBranch:
+        if (depth == nibbles.size()) {
+          if (node.value.empty()) {
+            return std::nullopt;
+          }
+          return std::move(node.value);
+        }
+        ref = node.children[nibbles[depth]];
+        if (IsEmptyRef(ref)) {
+          return std::nullopt;
+        }
+        ++depth;
+        break;
     }
   }
   return std::nullopt;
@@ -227,7 +294,8 @@ Hash Mpt::PutAt(const Hash& ref, const Nibbles& key, size_t depth, const Bytes& 
     return StoreNode(leaf);
   }
   Node node;
-  bool ok = LoadNode(ref, &node);
+  Bytes blob;
+  bool ok = LoadNode(ref, &blob, &node);
   assert(ok && "dangling trie reference");
   (void)ok;
   switch (node.kind) {
@@ -325,7 +393,8 @@ Hash Mpt::PutAt(const Hash& ref, const Nibbles& key, size_t depth, const Bytes& 
 
 Hash Mpt::DeleteAt(const Hash& ref, const Nibbles& key, size_t depth) {
   Node node;
-  if (!LoadNode(ref, &node)) {
+  Bytes blob;
+  if (!LoadNode(ref, &blob, &node)) {
     return ref;  // key not present under a dangling ref: no change
   }
   switch (node.kind) {
@@ -375,6 +444,7 @@ Hash Mpt::DeleteAt(const Hash& ref, const Nibbles& key, size_t depth) {
 }
 
 Hash Mpt::Normalize(const Node& node) {
+  Bytes blob;
   if (node.kind == Node::Kind::kBranch) {
     int live_children = 0;
     int live_index = -1;
@@ -399,7 +469,7 @@ Hash Mpt::Normalize(const Node& node) {
     }
     // Exactly one child and no value: merge the nibble into the child.
     Node child;
-    bool ok = LoadNode(node.children[live_index], &child);
+    bool ok = LoadNode(node.children[live_index], &blob, &child);
     assert(ok && "dangling branch child");
     (void)ok;
     if (child.kind == Node::Kind::kBranch) {
@@ -415,7 +485,7 @@ Hash Mpt::Normalize(const Node& node) {
   }
   if (node.kind == Node::Kind::kExtension) {
     Node child;
-    bool ok = LoadNode(node.child, &child);
+    bool ok = LoadNode(node.child, &blob, &child);
     assert(ok && "dangling extension child");
     (void)ok;
     if (child.kind == Node::Kind::kBranch) {
@@ -575,18 +645,14 @@ class Mpt::BatchFold {
       return r.hash;
     }
     Mem& m = *r.node;
-    Node node;
-    node.kind = m.kind;
-    node.path = std::move(m.path);
-    node.value = std::move(m.value);
     if (m.kind == Node::Kind::kExtension) {
-      node.child = Commit(m.child, nodes);
+      Commit(m.child, nodes);
     } else if (m.kind == Node::Kind::kBranch) {
-      for (int i = 0; i < 16; ++i) {
-        node.children[i] = Commit(m.children[i], nodes);
+      for (Ref& child : m.children) {
+        Commit(child, nodes);
       }
     }
-    Bytes encoded = EncodeNode(node);
+    Bytes encoded = EncodeNode(m, [](const Ref& child) -> const Hash& { return child.hash; });
     r.hash = Keccak256(encoded);
     m.dirty = false;
     nodes->emplace_back(r.hash, std::move(encoded));
@@ -600,7 +666,7 @@ class Mpt::BatchFold {
       return true;
     }
     Node stored;
-    if (!trie_->LoadNode(r.hash, &stored)) {
+    if (!trie_->LoadNode(r.hash, &blob_, &stored)) {
       return false;
     }
     Mem& m = arena_.emplace_back();
@@ -695,6 +761,7 @@ class Mpt::BatchFold {
 
   Mpt* trie_;
   std::deque<Mem> arena_;  // stable addresses: Refs point into it
+  Bytes blob_;             // every node the fold loads passes through this buffer
 };
 
 Hash Mpt::Update(const Hash& root, const std::vector<TrieWrite>& batch,
@@ -729,16 +796,13 @@ bool Mpt::Prove(const Hash& root, const Bytes& key, std::vector<Bytes>* proof) {
   Nibbles nibbles = BytesToNibbles(key.data(), key.size());
   Hash ref = root;
   size_t depth = 0;
+  Node node;
   while (true) {
-    auto blob = store_->Get(ref);
-    if (!blob) {
+    Bytes blob;
+    if (!LoadNode(ref, &blob, &node)) {
       return false;
     }
-    proof->push_back(*blob);
-    Node node;
-    if (!DecodeNodeBlob(*blob, &node)) {
-      return false;
-    }
+    proof->push_back(std::move(blob));
     switch (node.kind) {
       case Node::Kind::kLeaf:
         return true;  // terminates (match or divergence both prove something)

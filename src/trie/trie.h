@@ -23,8 +23,10 @@ Nibbles BytesToNibbles(const uint8_t* data, size_t len);
 
 // Hex-prefix encoding of a nibble path (Yellow Paper appendix C).
 Bytes HexPrefixEncode(const Nibbles& path, bool is_leaf);
-// Inverse of HexPrefixEncode; sets *is_leaf from the flag nibble.
-Nibbles HexPrefixDecode(const Bytes& encoded, bool* is_leaf);
+// Inverse of HexPrefixEncode: sets *path and *is_leaf. False unless the
+// encoding is canonical: non-empty, a flag nibble of at most 3, and a zero
+// pad nibble when the path is even.
+bool HexPrefixDecode(const uint8_t* data, size_t len, Nibbles* path, bool* is_leaf);
 
 // One key's new value in a batched Mpt::Update; an empty value deletes.
 using TrieWrite = std::pair<Bytes, Bytes>;
@@ -63,6 +65,10 @@ class Mpt {
   static bool VerifyProof(const Hash& root, const Bytes& key,
                           const std::vector<Bytes>& proof, std::optional<Bytes>* value);
 
+  // Decodes a node blob and encodes the node again (nullopt when the blob
+  // does not decode): the node codec's round trip, for tests.
+  static std::optional<Bytes> ReencodeNodeForTest(const Bytes& blob);
+
   KvStore* store() { return store_; }
 
  private:
@@ -78,16 +84,24 @@ class Mpt {
   // Update's in-memory tree of decoded nodes (trie.cc).
   class BatchFold;
 
-  // Decodes a serialized node blob; false on malformed input.
+  // Decodes a serialized node blob in place, straight into `*out` (whose
+  // buffers are reused). False unless the blob is exactly what EncodeNode
+  // writes for some node, so a blob that decodes re-encodes to itself:
+  // canonical RLP, one list of 2 or 17 string items, a canonical hex-prefix
+  // path, and child references of exactly 32 bytes that are not the zero
+  // hash (an empty branch slot is the empty string).
   static bool DecodeNodeBlob(const Bytes& blob, Node* out);
-  // Serializes a node: RLP of its items, every child referenced by hash.
-  static Bytes EncodeNode(const Node& node);
-  // Loads and decodes the node stored under `ref`; false if absent/corrupt.
-  bool LoadNode(const Hash& ref, Node* out);
+  // Serializes a node into one buffer: RLP of its items, every child
+  // referenced by hash. `node` is a Node or a BatchFold node; `hash_of` maps
+  // one of its child references to the child's hash.
+  template <typename N, typename HashOf>
+  static Bytes EncodeNode(const N& node, HashOf hash_of);
+  // Loads the node stored under `ref` into `*blob` and decodes it; false if
+  // absent or malformed.
+  bool LoadNode(const Hash& ref, Bytes* blob, Node* out);
   // Encodes + stores a node, returning its hash reference.
   Hash StoreNode(const Node& node);
 
-  std::optional<Bytes> GetAt(const Hash& ref, const Nibbles& key, size_t depth);
   // Returns the new ref for the subtree rooted at `ref` after inserting.
   Hash PutAt(const Hash& ref, const Nibbles& key, size_t depth, const Bytes& value);
   // Returns the new ref after deleting; zero hash means subtree became empty.

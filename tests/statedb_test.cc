@@ -313,30 +313,36 @@ void CollectReachable(KvStore& store, const Hash& root, bool account_trie, std::
   }
   auto blob = store.Get(root);
   ASSERT_TRUE(blob.has_value()) << "dangling node " << root.ToHex();
-  RlpDecoder::Item node;
-  ASSERT_TRUE(RlpDecoder::Decode(*blob, &node) && node.is_list);
-  auto child_hash = [](const RlpDecoder::Item& item) {
+  RlpItem list;
+  ASSERT_TRUE(RlpReader::Decode(*blob, &list) && list.is_list);
+  std::vector<RlpItem> items;
+  for (RlpReader reader(list); !reader.AtEnd();) {
+    ASSERT_TRUE(reader.Next(&items.emplace_back()));
+  }
+  auto child_hash = [](const RlpItem& item) {
     std::array<uint8_t, 32> h{};
-    if (item.payload.size() == 32) {
-      std::copy(item.payload.begin(), item.payload.end(), h.begin());
+    if (item.size == 32) {
+      std::copy(item.data, item.data + 32, h.begin());
     }
     return Hash(h);
   };
-  if (node.children.size() == 17) {
+  if (items.size() == 17) {
     for (int i = 0; i < 16; ++i) {
-      CollectReachable(store, child_hash(node.children[i]), account_trie, out);
+      CollectReachable(store, child_hash(items[i]), account_trie, out);
     }
     return;
   }
-  ASSERT_EQ(node.children.size(), 2u);
+  ASSERT_EQ(items.size(), 2u);
+  Nibbles path;
   bool is_leaf = false;
-  HexPrefixDecode(node.children[0].payload, &is_leaf);
+  ASSERT_TRUE(HexPrefixDecode(items[0].data, items[0].size, &path, &is_leaf));
   if (!is_leaf) {
-    CollectReachable(store, child_hash(node.children[1]), account_trie, out);
+    CollectReachable(store, child_hash(items[1]), account_trie, out);
   } else if (account_trie) {
-    RlpDecoder::Item account;
-    ASSERT_TRUE(RlpDecoder::Decode(node.children[1].payload, &account) && account.is_list);
-    CollectReachable(store, child_hash(account.children[2]), false, out);
+    Account account;
+    ASSERT_TRUE(StateDb::DecodeAccount(Bytes(items[1].data, items[1].data + items[1].size),
+                                       &account));
+    CollectReachable(store, account.storage_root, false, out);
   }
 }
 
