@@ -1,6 +1,6 @@
 // Annotated synchronization primitives — the only place in the repo allowed
 // to name std::mutex / std::shared_mutex / std::condition_variable directly
-// (tools/lint.py rule `raw-sync` enforces this).
+// (tools/analyze.py pass `raw-sync` enforces this).
 //
 // Every wrapper carries Clang thread-safety attributes (CAPABILITY,
 // GUARDED_BY, REQUIRES, ACQUIRE/RELEASE), so a clang build with
@@ -103,8 +103,8 @@ class FRN_CAPABILITY("shared_mutex") SharedMutex {
 };
 
 // Scoped exclusive lock over either mutex flavor (the std::lock_guard /
-// std::unique_lock replacement). Named, never a temporary — tools/lint.py
-// rule `raii-temporary` rejects `MutexLock(mu_);`, which would lock and
+// std::unique_lock replacement). Named, never a temporary — tools/analyze.py
+// pass `raii-temporary` rejects `MutexLock(mu_);`, which would lock and
 // unlock on the same line.
 class FRN_SCOPED_CAPABILITY MutexLock {
  public:

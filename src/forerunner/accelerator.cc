@@ -54,9 +54,9 @@ bool Accelerator::TryCommitRecord(StateDb* state, const BlockContext& block,
       state->AddBalance(t.to, t.amount);
     }
     // FutureRecord::storage_writes is a std::vector (replay order preserved);
-    // the linter's global name pass collides with trace_builder.h's unordered
-    // member of the same name.
-    for (const auto& [addr, key, value] : record.storage_writes) {  // frn:allow(unordered-iter)
+    // the determinism pass flags it because trace_builder.h, in this file's
+    // include closure, declares an unordered member of the same name.
+    for (const auto& [addr, key, value] : record.storage_writes) {  // frn:allow(determinism)
       state->SetStorage(addr, key, value);
     }
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 
 #include "src/common/clock.h"
@@ -136,6 +138,25 @@ bool StateDb::DecodeAccount(const Bytes& data, Account* out) {
   return true;
 }
 
+namespace {
+
+// Every writer emits canonical encodings and the strict decoder accepts
+// exactly those, so a trie value that fails to decode is corrupted state (a
+// replayed persist log, say). Read as an absent account or a zero slot, it
+// would fork the root without a trace; abort in every build instead.
+// `slot` is null for the account itself.
+[[noreturn]] void AbortOnCorruptState(const Address& addr, const U256* slot, const Hash& root) {
+  std::string what = "account " + addr.ToHex();
+  if (slot != nullptr) {
+    what = "slot " + slot->ToHex() + " of " + what;
+  }
+  std::fprintf(stderr, "StateDb: %s under state root %s fails to decode\n", what.c_str(),
+               root.ToHex().c_str());
+  std::abort();
+}
+
+}  // namespace
+
 Account& StateDb::Load(const Address& addr) {
   auto it = accounts_.find(addr);
   if (it != accounts_.end()) {
@@ -176,8 +197,8 @@ Account& StateDb::Load(const Address& addr) {
   if (!resolved) {
     ++stats_.account_trie_reads;
     auto blob = trie_->Get(root_, AccountKey(addr));
-    if (blob) {
-      DecodeAccount(*blob, &account);
+    if (blob && !DecodeAccount(*blob, &account)) {
+      AbortOnCorruptState(addr, nullptr, root_);
     }
   }
   return accounts_.emplace(addr, account).first->second;
@@ -313,8 +334,8 @@ U256 StateDb::GetCommittedStorage(const Address& addr, const U256& key) {
       ++stats_.storage_trie_reads;
       auto blob = trie_->Get(a.storage_root, StorageKey(key));
       RlpItem item;
-      if (blob && RlpReader::Decode(*blob, &item)) {
-        RlpReader::ReadUint(item, 32, &value);
+      if (blob && !(RlpReader::Decode(*blob, &item) && RlpReader::ReadUint(item, 32, &value))) {
+        AbortOnCorruptState(addr, &key, root_);
       }
     }
   }
@@ -496,7 +517,7 @@ Hash StateDb::Commit() {
   // Dirty slots for the versioned store's forward delta (empty when no store
   // is attached).
   std::vector<std::pair<StateSlotKey, U256>> versioned_slots;
-  for (auto& [addr, cache] : storage_) {  // frn:allow(unordered-iter)
+  for (auto& [addr, cache] : storage_) {  // frn:allow(determinism)
     if (cache.current.empty()) {
       continue;
     }
@@ -507,7 +528,7 @@ Hash StateDb::Commit() {
     if (versioned_ != nullptr) {
       // Forward delta for the versioned store — per-key entries, so the
       // collection order does not matter (distinct keys commute).
-      for (const auto& [key, value] : cache.current) {  // frn:allow(unordered-iter)
+      for (const auto& [key, value] : cache.current) {  // frn:allow(determinism)
         versioned_slots.emplace_back(StateSlotKey{addr, key}, value);
       }
     }
@@ -527,7 +548,7 @@ Hash StateDb::Commit() {
     // which is why this site is frozen with a suppression rather than sorted.
     std::vector<TrieWrite> batch;
     batch.reserve(job.cache->current.size());
-    for (const auto& [key, value] : job.cache->current) {  // frn:allow(unordered-iter)
+    for (const auto& [key, value] : job.cache->current) {  // frn:allow(determinism)
       batch.emplace_back(StorageKey(key), value.IsZero() ? Bytes{} : RlpEncoder::EncodeUint(value));
     }
     Hash storage_root =
@@ -565,11 +586,11 @@ Hash StateDb::Commit() {
 
   // The loop below folds dirty slots into a per-key map (cache.committed):
   // distinct-key writes commute, so the result is identical in any order.
-  for (auto& [addr, cache] : storage_) {  // frn:allow(unordered-iter)
+  for (auto& [addr, cache] : storage_) {  // frn:allow(determinism)
     if (cache.current.empty()) {
       continue;
     }
-    for (const auto& [key, value] : cache.current) {  // frn:allow(unordered-iter)
+    for (const auto& [key, value] : cache.current) {  // frn:allow(determinism)
       cache.committed[key] = value;
     }
     cache.current.clear();
@@ -589,7 +610,7 @@ Hash StateDb::Commit() {
   // Same argument as the storage fold: the account trie is
   // history-independent, so the batch reaches the same state_root in any
   // order, and versioned_accounts lands in the store's per-key map.
-  for (auto& [addr, account] : accounts_) {  // frn:allow(unordered-iter)
+  for (auto& [addr, account] : accounts_) {  // frn:allow(determinism)
     if (!account.exists) {
       continue;
     }
@@ -622,8 +643,9 @@ Hash StateDb::Commit() {
 
 Account StateDb::WalkAccount(const Address& addr) {
   Account account;
-  if (auto blob = trie_->Prefetch(root_, AccountKey(addr))) {
-    DecodeAccount(*blob, &account);
+  auto blob = trie_->Get(root_, AccountKey(addr));
+  if (blob && !DecodeAccount(*blob, &account)) {
+    AbortOnCorruptState(addr, nullptr, root_);
   }
   return account;
 }
@@ -646,7 +668,7 @@ void StateDb::PrefetchStorage(const Address& addr, const U256& key) {
   }
   if (account.exists && !account.storage_root.IsZero() &&
       account.storage_root != Mpt::EmptyRoot()) {
-    trie_->Prefetch(account.storage_root, StorageKey(key));
+    trie_->Get(account.storage_root, StorageKey(key));
   }
 }
 

@@ -88,7 +88,7 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
   ++stats_.commits;
   PruneLocked(v);
   // Drop index entries whose versions died (released handles past retention).
-  for (auto it = by_root_.begin(); it != by_root_.end();) {  // frn:allow(unordered-iter): pure expired-entry sweep, order-independent
+  for (auto it = by_root_.begin(); it != by_root_.end();) {  // pure expired-entry sweep, order-independent
     it = it->second.expired() ? by_root_.erase(it) : std::next(it);
   }
   stats_.retained = by_root_.size();
@@ -97,7 +97,6 @@ SnapshotHandle VersionedState::Commit(const SnapshotHandle& parent, const Hash& 
   // The returned handle is copy-elided into the caller's frame, so its
   // release hook (hook->mutex -> store mutex_) never fires while mutex_ is
   // held here.
-  // frn:allow(lock-order): guaranteed elision defers destruction past mutex_
   return SnapshotHandle(std::move(v), version_root, parent.height() + 1, hook_);
 }
 
@@ -127,10 +126,10 @@ void VersionedState::PruneLocked(const std::shared_ptr<StateVersion>& tip) {
     }
     const std::shared_ptr<StateVersion>& child =
         chain.size() >= 2 ? chain[chain.size() - 2]->parent : tip;
-    for (auto& [addr, account] : child->delta_accounts) {  // frn:allow(unordered-iter): per-key map fold, distinct keys commute
+    for (auto& [addr, account] : child->delta_accounts) {  // frn:allow(determinism): per-key map fold, distinct keys commute
       accounts_[addr] = account;
     }
-    for (auto& [slot, value] : child->delta_slots) {  // frn:allow(unordered-iter): per-key map fold, distinct keys commute
+    for (auto& [slot, value] : child->delta_slots) {  // frn:allow(determinism): per-key map fold, distinct keys commute
       if (value.IsZero()) {
         storage_.erase(slot);  // zero write == deletion, matching the trie
       } else {

@@ -783,11 +783,6 @@ Hash Mpt::Update(const Hash& root, const std::vector<TrieWrite>& batch,
   return IsEmptyRef(new_root) ? EmptyRoot() : new_root;
 }
 
-std::optional<Bytes> Mpt::Prefetch(const Hash& root, const Bytes& key) {
-  // A plain Get already heats every node on the path via KvStore::Get.
-  return Get(root, key);
-}
-
 bool Mpt::Prove(const Hash& root, const Bytes& key, std::vector<Bytes>* proof) {
   proof->clear();
   if (root == EmptyRoot() || IsEmptyRef(root)) {

@@ -38,7 +38,8 @@ class Mpt {
   // The canonical root hash of the empty trie (keccak of RLP empty string).
   static Hash EmptyRoot();
 
-  // Reads the value at `key` under `root`; nullopt when absent.
+  // Reads the value at `key` under `root`; nullopt when absent. Every node on
+  // the path becomes hot in the store (the prefetcher's mechanism).
   std::optional<Bytes> Get(const Hash& root, const Bytes& key);
   // Writes `value` at `key`; empty value deletes. Returns the new root.
   Hash Put(const Hash& root, const Bytes& key, const Bytes& value);
@@ -50,9 +51,6 @@ class Mpt {
   // appended, so every appended blob is reachable from the new root.
   Hash Update(const Hash& root, const std::vector<TrieWrite>& batch,
               KvStore::StagedWrites* nodes);
-  // Walks the path for `key` so that all touched nodes become hot in the
-  // store (the prefetcher's mechanism); returns the value if present.
-  std::optional<Bytes> Prefetch(const Hash& root, const Bytes& key);
 
   // Produces a Merkle proof for `key` under `root`: the ordered node blobs
   // from the root down to the terminating node. The proof demonstrates either

@@ -1,4 +1,4 @@
-// Fixture for the raii-temporary rule: a guard constructed as an unnamed
+// Fixture for the raii-temporary pass: a guard constructed as an unnamed
 // temporary is destroyed at the end of the same full-expression —
 // `MutexLock(mu_);` locks and immediately unlocks, guarding nothing.
 #include "src/common/sync.h"

@@ -1,4 +1,4 @@
-// Fixture for the raw-clock rule: raw clock reads outside src/common/clock.h
+// Fixture for the raw-clock pass: raw clock reads outside src/common/clock.h
 // fork the repo's single source of time.
 #include <chrono>
 
@@ -15,7 +15,7 @@ double WallSeconds() {
 }
 
 // std::chrono::duration / duration_cast themselves are fine — only the three
-// clock types are the linter's business.
+// clock types are the pass's business.
 double Convert(std::chrono::nanoseconds ns) {
   return std::chrono::duration<double>(ns).count();
 }

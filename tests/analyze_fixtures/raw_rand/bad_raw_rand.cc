@@ -1,4 +1,4 @@
-// Fixture for the raw-rand rule: unseeded/global randomness outside
+// Fixture for the raw-rand pass: unseeded/global randomness outside
 // src/common/rng.h breaks bit-identical table regeneration.
 #include <cstdlib>
 #include <random>

@@ -1,4 +1,4 @@
-// Fixture for the raw-sync rule: raw std:: synchronization primitives are
+// Fixture for the raw-sync pass: raw std:: synchronization primitives are
 // flagged everywhere outside src/common/sync.h, so all locking flows through
 // the annotated frn wrappers that clang -Wthread-safety can check.
 #include <mutex>

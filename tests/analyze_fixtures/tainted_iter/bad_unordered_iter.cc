@@ -1,5 +1,6 @@
-// Fixture for the unordered-iter rule: range-for over an unordered container
-// inside a function whose name says it feeds roots/JSON/stats output.
+// Fixture for the determinism pass at a sink itself: range-for over an
+// unordered container inside a function whose name says it feeds
+// roots/JSON/stats output.
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,7 +17,7 @@ struct Doc {
 
 std::string Doc::ToJson() const {
   std::string out;
-  for (const auto& kv : fields) {  // [expect:unordered-iter]
+  for (const auto& kv : fields) {  // [expect:determinism]
     out += kv.first;
   }
   // Ordered containers are fine even here:
@@ -26,7 +27,7 @@ std::string Doc::ToJson() const {
   return out;
 }
 
-// Outside a determinism-sensitive function the same iteration is silent:
+// In a function no sink reaches, the same iteration is silent:
 int Doc::Total() const {
   int total = 0;
   for (const auto& kv : fields) {
@@ -38,7 +39,7 @@ int Doc::Total() const {
 // Suppressed (e.g. a commutative fold) — must NOT appear in the findings:
 int SumForStats(const Doc& doc) {
   int total = 0;
-  for (const auto& kv : doc.fields) {  // frn:allow(unordered-iter)
+  for (const auto& kv : doc.fields) {  // frn:allow(determinism)
     total += kv.second;
   }
   return total;

@@ -1,12 +1,12 @@
-// Fixture for the unordered-iter rule with C++17 structured bindings over a
-// member carrying a thread-safety annotation. Before the fix, the annotation
-// suffix (`FRN_GUARDED_BY(mu_)` between the name and the `;`) kept the
-// declaration-name scan from registering `by_hash_` as an unordered
-// container, so the structured-binding loop below was never flagged.
+// Fixture for the determinism pass with C++17 structured bindings over a
+// member carrying a thread-safety annotation. The name scan must read past
+// the annotation suffix (`FRN_GUARDED_BY(mu_)` between the name and the `;`)
+// to register `by_hash_` as an unordered container; otherwise the
+// structured-binding loops below are never flagged.
 #include <string>
 #include <unordered_map>
 
-// Stand-ins for the sync.h macros (fixtures are linter input, not compiled).
+// Stand-ins for the sync.h macros (fixtures are analyzer input, not compiled).
 #define FRN_GUARDED_BY(x)
 
 namespace frn_fixture {
@@ -26,14 +26,14 @@ class Index {
 
 std::string Index::ToJson() const {
   std::string out;
-  for (const auto& [hash, count] : by_hash_) {  // [expect:unordered-iter]
+  for (const auto& [hash, count] : by_hash_) {  // [expect:determinism]
     out += hash + std::to_string(count);
   }
   return out;
 }
 
 void Index::MergeStats(Index* into) const {
-  for (auto& [hash, count] : pending_) {  // [expect:unordered-iter]
+  for (auto& [hash, count] : pending_) {  // [expect:determinism]
     into->by_hash_[hash] += count;
   }
 }

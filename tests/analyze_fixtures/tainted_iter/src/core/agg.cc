@@ -1,9 +1,9 @@
 // Fixture for the determinism pass: WriteSummary is a sink by name, and it
 // calls AppendItems, whose unordered-map iteration therefore taints ordered
-// output — something lint.py's lexical unordered-iter rule cannot see,
-// because AppendItems itself has an innocent name. The same iteration in
-// Shuffle is unreachable from any sink and must stay silent, and the
-// suppressed iteration in MergeCounts shows the escape hatch.
+// output — something a lexical check cannot see, because AppendItems itself
+// has an innocent name. The same iteration in Shuffle is unreachable from
+// any sink and must stay silent, and the suppressed iteration in
+// MergeCounts shows the escape hatch.
 
 #include <string>
 #include <unordered_map>

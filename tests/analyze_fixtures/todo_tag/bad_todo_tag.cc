@@ -1,4 +1,4 @@
-// Fixture for the todo-tag rule: untagged to-do markers go stale with no
+// Fixture for the todo-tag pass: untagged to-do markers go stale with no
 // owner; require TODO(#issue) or TODO(name).
 
 namespace frn_fixture {

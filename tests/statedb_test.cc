@@ -6,6 +6,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/rng.h"
+#include "src/crypto/keccak.h"
 #include "src/rlp/rlp.h"
 #include "src/state/versioned_state.h"
 
@@ -140,6 +141,36 @@ TEST_F(StateDbTest, ZeroStorageWriteDeletesSlot) {
   db.SetStorage(a, U256(3), U256());
   Hash root_after_clear = db.Commit();
   EXPECT_EQ(root_after_clear, root_before);
+}
+
+// A trie value the strict decoder rejects is corrupted state: reading it as
+// an absent account or a zero slot would fork the root without a trace.
+using StateDbDeathTest = StateDbTest;
+
+Bytes SecureKey(const Hash& h) { return Bytes(h.bytes().begin(), h.bytes().end()); }
+Bytes AccountKeyOf(const Address& a) {
+  return SecureKey(Keccak256(a.bytes().data(), a.bytes().size()));
+}
+
+TEST_F(StateDbDeathTest, UndecodableAccountAbortsReadAndPrefetch) {
+  Address a = Address::FromId(10);
+  StateDb db(&trie_, trie_.Put(Mpt::EmptyRoot(), AccountKeyOf(a), Bytes{0xC0}));
+  const char* message = "account 0x[0-9a-f]+ under state root 0x[0-9a-f]+ fails to decode";
+  EXPECT_DEATH(db.GetBalance(a), message);
+  EXPECT_DEATH(db.PrefetchAccount(a), message);
+}
+
+TEST_F(StateDbDeathTest, NonCanonicalSlotAbortsTheRead) {
+  Address a = Address::FromId(11);
+  Account account;
+  account.exists = true;
+  // 0x81 0x00 spells the byte 0x00 the long way; canonical RLP writes 0x00.
+  account.storage_root =
+      trie_.Put(Mpt::EmptyRoot(), SecureKey(Keccak256Word(U256(7))), Bytes{0x81, 0x00});
+  StateDb db(&trie_,
+             trie_.Put(Mpt::EmptyRoot(), AccountKeyOf(a), StateDb::EncodeAccount(account)));
+  EXPECT_DEATH(db.GetStorage(a, U256(7)),
+               "slot 0x7 of account 0x[0-9a-f]+ under state root 0x[0-9a-f]+ fails to decode");
 }
 
 // Property sweep: randomized mutate/snapshot/revert/commit sequences keep the

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Concurrency-contract analyzer for the forerunner repo.
+"""Static checker for the forerunner repo's contracts.
 
-Where tools/lint.py enforces *lexical* invariants line by line, this tool
-builds a whole-program model — classes, mutex members, lock-acquisition
-sites, a call graph, the include graph — and checks the repo's concurrency
-and layering contracts against it:
+It builds a whole-program model — classes, mutex members, lock-acquisition
+sites, a call graph, the include graph — and checks the repo's concurrency,
+layering and determinism contracts against it; its lexical passes check
+single lines:
 
   lock-order       Builds the global lock-acquisition graph: an edge A -> B
                    means some thread can acquire B while holding A (observed
@@ -33,11 +33,31 @@ and layering contracts against it:
                    name says it feeds roots / JSON / stats merging
                    (DETERMINISM_SINK_RE); the tainted set is the sinks plus
                    every function transitively *called by* a sink, computed
-                   over the real call graph — unlike lint.py's unordered-iter
-                   rule, which only sees iteration lexically inside a
-                   sink-named function. Hash-map order is not a contract;
-                   anything it can reach in ordered output must be sorted or
-                   proven order-independent.
+                   over the real call graph. Hash-map order is not a
+                   contract; anything it can reach in ordered output must be
+                   sorted or proven order-independent.
+  raw-sync         std::mutex / std::shared_mutex / std::lock_guard /
+                   std::unique_lock / std::shared_lock / std::scoped_lock /
+                   std::condition_variable outside src/common/sync.h. All
+                   locking goes through the annotated frn wrappers so a clang
+                   -Wthread-safety build can check lock discipline.
+  raw-clock        std::chrono::{steady,system,high_resolution}_clock,
+                   clock_gettime, gettimeofday outside src/common/clock.h.
+                   Cost accounting has exactly one source of time.
+  raw-rand         rand()/srand(), std::random_device, std::mt19937,
+                   std::*_distribution outside src/common/rng.h. Every
+                   stochastic draw must come from the seeded frn::Rng or
+                   tables/figures stop regenerating bit-identically.
+  raii-temporary   A guard type (MutexLock, ReaderLock, TraceSpan)
+                   constructed as an unnamed temporary: `MutexLock(mu_);`
+                   locks and unlocks on the same line, which is never what
+                   was meant.
+  todo-tag         TODO/FIXME without an owner/issue tag: write
+                   `TODO(#123): ...` or `TODO(name): ...` so stale markers
+                   stay traceable.
+
+Scan scopes (SCOPES): lock-order, lock-annotation and layering read src/;
+determinism and the lexical passes read src/ tests/ bench/ examples/ tools/.
 
 Front end
 ---------
@@ -46,8 +66,8 @@ comment/string-aware line splitting, scope tracking (namespace/class/function
 by brace depth), guard-scope tracking for held-lock sets, and a name-based
 call scan. No dependencies beyond python3. Declarations, annotations,
 includes, lock sites and guard scopes are recoverable lexically because the
-repo's locking idiom is strictly scoped (`MutexLock lock(mu_);` —
-tools/lint.py's raii-temporary rule guarantees guards are named locals).
+repo's locking idiom is strictly scoped (`MutexLock lock(mu_);` — the
+raii-temporary pass guarantees guards are named locals).
 
 Call-graph conservatism: the call scan resolves a call site to every
 known function with that name (it cannot do overload/receiver resolution).
@@ -56,18 +76,18 @@ never hide any — false positives are suppressed in place, with a rationale.
 
 Suppressions
 ------------
-`// frn:allow(<pass-id>)` on the offending line or the line above, exactly
-like tools/lint.py. Every suppression in the tree must carry a comment
-saying why the flagged pattern is actually safe. For lock-order, the
+`// frn:allow(<pass-id>)` on the offending line or the line above;
+`frn:allow(a, b)` names several. Every suppression in the tree must carry a
+comment saying why the flagged pattern is actually safe. For lock-order, the
 suppression goes on an acquisition (or call) line: edges witnessed only by
 suppressed lines are dropped from the cycle check but still drawn dashed in
-the dot output. The determinism pass also honors `frn:allow(unordered-iter)`
-— lint.py's id for the same contract — so one suppression covers both tools.
+the dot output. A suppression that matches no finding of a pass that ran,
+or names no pass, is itself a `stale-allow` finding.
 
 Exit codes: 0 clean, 1 findings, 2 internal/usage error.
 
 Usage:
-  tools/analyze.py                          # all passes over src/
+  tools/analyze.py                          # every pass over its scope
   tools/analyze.py --passes lock-order,layering
   tools/analyze.py --self-test              # fixtures, clean tree, fresh graph
   tools/analyze.py --list-locks             # dump the mutex inventory
@@ -81,10 +101,58 @@ import sys
 from collections import defaultdict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOURCE_EXTENSIONS = (".h", ".cc")
+SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 FIXTURE_DIR_NAME = "analyze_fixtures"
 
-PASSES = ("lock-order", "lock-annotation", "layering", "determinism")
+# Lexical passes: id -> (pattern, the construct's sanctioned home, message).
+# The pattern runs over each line's code; todo-tag's also over its comment.
+LEXICAL_PASSES = {
+    "raw-sync": (
+        re.compile(r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
+                   r"lock_guard|unique_lock|shared_lock|scoped_lock|"
+                   r"condition_variable(?:_any)?)\b"),
+        "src/common/sync.h",
+        "raw std:: synchronization primitive outside src/common/sync.h "
+        "(use frn::Mutex / frn::SharedMutex / MutexLock / ReaderLock / CondVar)"),
+    "raw-clock": (
+        re.compile(r"std::chrono::(?:steady_clock|system_clock|"
+                   r"high_resolution_clock)\b"
+                   r"|\bclock_gettime\s*\(|\bgettimeofday\s*\("),
+        "src/common/clock.h",
+        "raw clock outside src/common/clock.h "
+        "(use frn::Stopwatch / ThreadCpuSeconds / ThreadCpuTimer)"),
+    "raw-rand": (
+        re.compile(r"std::(?:random_device|mt19937(?:_64)?|minstd_rand0?|"
+                   r"uniform_(?:int|real)_distribution|normal_distribution)\b"
+                   r"|(?<![\w.])s?rand\s*\("),
+        "src/common/rng.h",
+        "raw randomness outside src/common/rng.h (use the seeded frn::Rng)"),
+    # A complete `Type(args);` statement on one line. Requiring the trailing
+    # `);` keeps multi-line constructor *declarations* and `= delete` lines
+    # (which continue past the closing paren) out of scope.
+    "raii-temporary": (
+        re.compile(r"^\s*(?:frn::)?(?:MutexLock|ReaderLock|TraceSpan)"
+                   r"\s*\([^;]*\)\s*;\s*$"),
+        None,
+        "RAII guard constructed as an unnamed temporary "
+        "(destroyed immediately — name it)"),
+    "todo-tag": (
+        re.compile(r"\b(TODO|FIXME)\b(?!\(\S[^)]*\))"),
+        None,
+        "TODO/FIXME must carry a tag: TODO(#issue) or TODO(name)"),
+}
+MODEL_PASSES = ("lock-order", "lock-annotation", "layering")
+TREE_PASSES = ("determinism",) + tuple(LEXICAL_PASSES)
+PASSES = MODEL_PASSES + TREE_PASSES
+
+# Default scan scope of each pass. The model passes read src/ only: over
+# tests/, lock-order would report the deliberate inversion in
+# tsan_lock_order_probe.cc and draw it into tools/lock_order.dot. e2ebench/
+# belongs to the benchmark and is in neither scope.
+SCOPES = (
+    (("src",), MODEL_PASSES),
+    (("src", "tests", "bench", "examples", "tools"), TREE_PASSES),
+)
 
 # Include-DAG ranks over src/<dir>/. Lower may not include higher; equal
 # ranks are peer groups and may include each other. The order mirrors the
@@ -111,7 +179,7 @@ LAYER_RANKS = {
 }
 
 ALLOW_RE = re.compile(r"//\s*frn:allow\(([\w\-,\s]+)\)")
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(src/[^"]+)"')
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 NAMESPACE_RE = re.compile(r"\bnamespace\s+([A-Za-z_]\w*)?\s*\{")
 CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(?:FRN_\w+\([^)]*\)\s+)?([A-Za-z_]\w*)"
@@ -204,22 +272,28 @@ def strip_strings(code):
 
 
 def split_lines(text):
-    """Yields (code, allow_set) per line, comments removed, /* */ tracked."""
+    """Yields (code, comment, allow_set) per line, /* */ tracked: `code` has
+    strings blanked and comments removed, `comment` is the comment text (for
+    todo-tag), `allow_set` the pass ids the line's frn:allow() names."""
     rows = []
     in_block = False
     for raw in text.splitlines():
         line = strip_strings(raw)
         code_parts = []
+        comment_parts = []
         i, n = 0, len(line)
         while i < n:
             if in_block:
                 end = line.find("*/", i)
                 if end == -1:
+                    comment_parts.append(line[i:])
                     i = n
                 else:
+                    comment_parts.append(line[i:end])
                     in_block = False
                     i = end + 2
             elif line.startswith("//", i):
+                comment_parts.append(line[i + 2:])
                 i = n
             elif line.startswith("/*", i):
                 in_block = True
@@ -230,7 +304,7 @@ def split_lines(text):
         allow = set()
         for m in ALLOW_RE.finditer(raw):
             allow.update(r.strip() for r in m.group(1).split(","))
-        rows.append(("".join(code_parts), allow))
+        rows.append(("".join(code_parts), " ".join(comment_parts), allow))
     return rows
 
 
@@ -259,13 +333,13 @@ class Function:
         self.cls = cls              # enclosing/owning class, "" for free fns
         self.rel = rel
         self.line = line
-        # (lock_id, line, allowed:set) in acquisition order
+        # (lock_id, line) in acquisition order
         self.acquires = []
-        # (callee_name, line, frozenset(held lock_ids), allowed:set)
+        # (callee_name, line, frozenset(held lock_ids))
         self.calls = []
-        # (expr, line, allowed:set) range-for over an unordered container
+        # (expr, line) range-for over an unordered container
         self.unordered_iters = []
-        # (field_name, line, frozenset(held lock_ids), allowed:set)
+        # (field_name, line, frozenset(held lock_ids))
         self.writes = []
 
 
@@ -274,23 +348,33 @@ class Model:
 
     def __init__(self):
         self.files = {}             # rel -> rows
-        self.includes = []          # (rel, line, header, allowed)
+        self.includes = []          # (rel, line, header)
         self.mutexes = {}           # lock_id -> MutexDecl
         self.fields = {}            # (cls, name) -> FieldDecl
         self.classes_mutexes = defaultdict(list)   # cls -> [lock_id]
         self.functions = []         # [Function]
         self.by_name = defaultdict(list)           # bare name -> [Function]
         self.unordered_names = {}   # rel -> names unordered in its include closure
+        self.used_allows = set()    # (rel, line, pass_id) that matched a finding
 
     def add_function(self, fn):
         self.functions.append(fn)
         self.by_name[fn.name].append(fn)
 
+    def allowed(self, rel, line, pass_id):
+        """True when frn:allow(pass_id) sits on `line` or the line above;
+        marks each such suppression used."""
+        rows = self.files.get(rel, ())
+        hits = [ln for ln in (line, line - 1)
+                if 0 < ln <= len(rows) and pass_id in rows[ln - 1][2]]
+        self.used_allows.update((rel, ln, pass_id) for ln in hits)
+        return bool(hits)
+
 
 def scan_unordered_names(rows):
     """Names declared in these rows as unordered containers (annotation-aware)."""
     names = set()
-    for code, _ in rows:
+    for code, _, _ in rows:
         for m in UNORDERED_DECL_RE.finditer(code):
             i = m.end() - 1
             depth = 0
@@ -388,7 +472,7 @@ def _scan_file(model, rel, rows, text):
     opening braces sit on the declaration line (signatures may span lines up
     to the brace). Guard extents are tracked by brace depth, so held-lock
     sets at call/write sites are exact for the scoped-guard idiom — the only
-    locking idiom the repo permits (lint.py: raii-temporary, raw-sync).
+    locking idiom the repo permits (passes raii-temporary, raw-sync).
     """
     scopes = []               # open namespace/class scopes
     depth = 0                 # brace depth
@@ -396,18 +480,12 @@ def _scan_file(model, rel, rows, text):
     fn = None                 # Function currently being scanned
     fn_entry_depth = 0        # brace depth just outside fn's body
     held = []                 # [(lock_id, depth_at_decl)]
-    lines = [code for code, _ in rows]
+    lines = [code for code, _, _ in rows]
     raw_lines = text.splitlines()
 
     def qual_class():
         chain = [s.name for s in scopes if s.kind == "class"]
         return "::".join(chain) if chain else ""
-
-    def allowed_at(idx):
-        allow = set(rows[idx][1])
-        if idx > 0:
-            allow |= rows[idx - 1][1]
-        return allow
 
     def open_function(sig, lineno):
         nonlocal fn, fn_entry_depth
@@ -428,33 +506,32 @@ def _scan_file(model, rel, rows, text):
         model.add_function(fn)
         return True
 
-    def scan_body_facts(segment, idx, lineno):
+    def scan_body_facts(segment, lineno):
         """Records guard/iteration/call/write facts from a body fragment."""
-        allow = allowed_at(idx)
         for gm in GUARD_DECL_RE.finditer(segment):
             lock_id = _resolve_lock(model, gm.group(2), fn.cls or qual_class(),
                                     fn, lines, rel)
             if lock_id:
-                fn.acquires.append((lock_id, lineno, allow))
+                fn.acquires.append((lock_id, lineno))
                 held.append((lock_id, depth + segment[:gm.start()].count("{")
                              - segment[:gm.start()].count("}")))
         for rm in RANGE_FOR_RE.finditer(segment):
             base = re.split(r"\.|->", rm.group(1))[-1].strip("[]")
             if base in model.unordered_names.get(rel, ()):
-                fn.unordered_iters.append((rm.group(1), lineno, allow))
+                fn.unordered_iters.append((rm.group(1), lineno))
         held_ids = frozenset(h[0] for h in held)
         for cm in CALL_RE.finditer(segment):
             name = cm.group(1)
             if name in CALL_NOISE or name.startswith("FRN_"):
                 continue
-            fn.calls.append((name, lineno, held_ids, allow))
+            fn.calls.append((name, lineno, held_ids))
         if held_ids:
             for am in ASSIGN_RE.finditer(segment):
-                fn.writes.append((am.group(1), lineno, held_ids, allow))
+                fn.writes.append((am.group(1), lineno, held_ids))
             for mm in MUTATE_CALL_RE.finditer(segment):
-                fn.writes.append((mm.group(1), lineno, held_ids, allow))
+                fn.writes.append((mm.group(1), lineno, held_ids))
 
-    for idx, (code, _) in enumerate(rows):
+    for idx, (code, _, _) in enumerate(rows):
         lineno = idx + 1
         start_depth = depth
 
@@ -462,7 +539,7 @@ def _scan_file(model, rel, rows, text):
         # quoted path out of `code`.
         im = INCLUDE_RE.match(raw_lines[idx]) if idx < len(raw_lines) else None
         if im:
-            model.includes.append((rel, lineno, im.group(1), allowed_at(idx)))
+            model.includes.append((rel, lineno, im.group(1)))
 
         body_segment = None  # portion of this line inside a function body
 
@@ -517,7 +594,7 @@ def _scan_file(model, rel, rows, text):
                         pending_sig = (code.strip(), lineno)
 
         if body_segment is not None and fn is not None:
-            scan_body_facts(body_segment, idx, lineno)
+            scan_body_facts(body_segment, lineno)
 
         # Brace accounting, then scope/guard/function lifetime management.
         depth += code.count("{") - code.count("}")
@@ -606,15 +683,14 @@ def _transitive_acquires(model):
         for fn in model.functions:
             mine = acq[id(fn)]
             before = len(mine)
-            for name, _, _, allow in fn.calls:
-                if "lock-order" in allow:
-                    # A lock-order allow on a call line asserts the callee's
-                    # acquisitions do not nest inside the caller's locks
-                    # (e.g. guaranteed copy elision moves the construction
-                    # past the guard) — stop propagation through this call.
-                    continue
-                for callee in _callees(model, name):
-                    mine |= acq[id(callee)]
+            for name, line, _ in fn.calls:
+                targets = set().union(*(acq[id(c)] for c in _callees(model, name)))
+                # A lock-order allow on a call line asserts the callee's
+                # acquisitions do not nest inside the caller's locks (e.g.
+                # guaranteed copy elision moves the construction past the
+                # guard) — stop propagation through this call.
+                if targets and not model.allowed(fn.rel, line, "lock-order"):
+                    mine |= targets
             if len(mine) != before:
                 changed = True
     return acq
@@ -626,7 +702,7 @@ def pass_lock_order(model, findings):
     # edge (a, b) -> list of witnesses (rel, line, via, suppressed)
     edges = defaultdict(list)
 
-    def add_edge(a, b, rel, line, via, suppressed):
+    def add_edge(a, b, rel, line, via):
         if a == b:
             # The static model is instance-blind: two locks with one id may
             # be different objects (per-shard mutexes), so flagging every
@@ -635,27 +711,26 @@ def pass_lock_order(model, findings):
             # compile error; across functions it deadlocks, and
             # tools/run_tsan.sh's per-binary timeout turns that into a failure.
             return
-        edges[(a, b)].append((rel, line, via, suppressed))
+        edges[(a, b)].append(
+            (rel, line, via, model.allowed(rel, line, "lock-order")))
 
     acq = _transitive_acquires(model)
     for fn in model.functions:
         held = []
-        for lock_id, line, allow in fn.acquires:
-            sup = "lock-order" in allow
+        for lock_id, line in fn.acquires:
             for h in held:
-                add_edge(h, lock_id, fn.rel, line, fn.qual_name, sup)
+                add_edge(h, lock_id, fn.rel, line, fn.qual_name)
             held.append(lock_id)
         # Call-graph propagation: anything a callee may acquire nests inside
         # whatever is held at the call site.
-        for name, line, held_ids, allow in fn.calls:
+        for name, line, held_ids in fn.calls:
             if not held_ids:
                 continue
-            sup = "lock-order" in allow
             for callee in _callees(model, name):
                 for target in acq[id(callee)]:
                     for h in held_ids:
                         add_edge(h, target, fn.rel, line,
-                                 f"{fn.qual_name} -> {callee.qual_name}", sup)
+                                 f"{fn.qual_name} -> {callee.qual_name}")
 
     # Effective graph: drop edges whose every witness is suppressed.
     graph = defaultdict(set)
@@ -767,9 +842,7 @@ def pass_lock_annotation(model, findings):
             cls = cls.rsplit("::", 1)[0] if "::" in cls else ""
         if not own_locks:
             continue
-        for field_name, line, held_ids, allow in fn.writes:
-            if "lock-annotation" in allow:
-                continue
+        for field_name, line, held_ids in fn.writes:
             if not (held_ids & own_locks):
                 continue  # held lock belongs to another object
             fd = model.fields.get((fn.cls, field_name))
@@ -805,9 +878,7 @@ def layer_rank(rel):
 
 
 def pass_layering(model, findings):
-    for rel, line, header, allow in model.includes:
-        if "layering" in allow:
-            continue
+    for rel, line, header in model.includes:
         from_rank = layer_rank(rel)
         to_rank = layer_rank(header)
         if from_rank is None or to_rank is None:
@@ -838,7 +909,7 @@ def pass_determinism(model, findings):
             work.append(fn)
     while work:
         fn = work.pop()
-        for name, _, _, _ in fn.calls:
+        for name, _, _ in fn.calls:
             for callee in _callees(model, name):
                 if id(callee) not in tainted:
                     tainted.add(id(callee))
@@ -847,11 +918,7 @@ def pass_determinism(model, findings):
     for fn in model.functions:
         if id(fn) not in tainted:
             continue
-        for expr, line, allow in fn.unordered_iters:
-            # frn:allow(unordered-iter) — lint.py's id for the identical
-            # contract — counts here too: one rationale, both tools.
-            if "determinism" in allow or "unordered-iter" in allow:
-                continue
+        for expr, line in fn.unordered_iters:
             sink = reason[id(fn)]
             via = "" if sink == fn.qual_name else f" (reached from sink `{sink}`)"
             findings.append(Finding(
@@ -859,6 +926,41 @@ def pass_determinism(model, findings):
                 f"iteration over unordered container `{expr}` in "
                 f"`{fn.qual_name}`{via}: hash-map order is not deterministic "
                 f"output order — sort, or suppress with a why-comment"))
+
+
+# ---------------------------------------------------------------------------
+# Lexical passes
+# ---------------------------------------------------------------------------
+
+def pass_lexical(model, findings, passes):
+    """Each lexical pass's pattern over every line outside its home file."""
+    for rel, rows in model.files.items():
+        for line, (code, comment, _) in enumerate(rows, start=1):
+            for pass_id in passes:
+                pattern, home, message = LEXICAL_PASSES[pass_id]
+                text = f"{code} {comment}" if pass_id == "todo-tag" else code
+                if rel != home and pattern.search(text):
+                    findings.append(Finding(rel, line, pass_id, message))
+
+
+def stale_allows(models, passes):
+    """Each frn:allow(id) of a pass that ran but that matched no finding on
+    its own line or the next, and each id that names no pass."""
+    used = set().union(*(m.used_allows for m in models))
+    files = {rel: rows for m in models for rel, rows in m.files.items()}
+    stale = []
+    for rel, rows in files.items():
+        for line, (_, _, allow) in enumerate(rows, start=1):
+            for pass_id in sorted(allow):
+                if pass_id not in PASSES:
+                    why = "names no pass"
+                elif pass_id in passes and (rel, line, pass_id) not in used:
+                    why = "matches no finding on this line or the next"
+                else:
+                    continue
+                stale.append(Finding(rel, line, "stale-allow",
+                                     f"frn:allow({pass_id}) {why}"))
+    return stale
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +975,7 @@ def collect_files(root, paths):
             files.append(ap)
         elif os.path.isdir(ap):
             for dirpath, dirnames, filenames in os.walk(ap):
-                dirnames[:] = [d for d in dirnames
-                               if d not in (FIXTURE_DIR_NAME, "lint_fixtures")]
+                dirnames[:] = [d for d in dirnames if d != FIXTURE_DIR_NAME]
                 for f in sorted(filenames):
                     if f.endswith(SOURCE_EXTENSIONS):
                         files.append(os.path.join(dirpath, f))
@@ -882,22 +983,37 @@ def collect_files(root, paths):
 
 
 def run_analysis(root, paths, passes):
-    """Returns the model, the sorted findings and the lock-order edges
-    (empty unless the lock-order pass ran)."""
-    files = collect_files(root, paths)
-    model = extract_model(files, root)
-    findings = []
-    edges = {}
-    if "lock-order" in passes:
-        edges = pass_lock_order(model, findings)
-    if "lock-annotation" in passes:
-        pass_lock_annotation(model, findings)
-    if "layering" in passes:
-        pass_layering(model, findings)
-    if "determinism" in passes:
-        pass_determinism(model, findings)
+    """Runs `passes` over `paths`, or each pass over its SCOPES entry when
+    `paths` is empty. Returns the models (the first holds the lock
+    inventory), the sorted findings and the lock-order edges (empty unless
+    the lock-order pass ran)."""
+    scans = ([(paths, passes)] if paths else
+             [(scope, [p for p in passes if p in group])
+              for scope, group in SCOPES])
+    models, findings, edges = [], [], {}
+    for scan_paths, scan_passes in scans:
+        model = extract_model(collect_files(root, scan_paths), root)
+        models.append(model)
+        raw = []
+        if "lock-order" in scan_passes:
+            edges = pass_lock_order(model, raw)
+        if "lock-annotation" in scan_passes:
+            pass_lock_annotation(model, raw)
+        if "layering" in scan_passes:
+            pass_layering(model, raw)
+        if "determinism" in scan_passes:
+            pass_determinism(model, raw)
+        pass_lexical(model, raw, [p for p in scan_passes if p in LEXICAL_PASSES])
+        findings += [f for f in raw
+                     if not model.allowed(f.path, f.line, f.pass_id)]
+    findings += stale_allows(models, passes)
     findings.sort(key=lambda f: (f.path, f.line, f.pass_id))
-    return model, findings, edges
+    return models, findings, edges
+
+
+def describe(models):
+    files = set().union(*(m.files for m in models))
+    return f"{len(files)} files, {len(models[0].mutexes)} mutexes"
 
 
 EXPECT_RE = re.compile(r"\[expect:([\w\-]+)\]")
@@ -910,6 +1026,9 @@ def self_test(fixture=None):
     graph matches a fresh one. With `fixture`, runs just that fixture dir
     (the ctest per-pass suites) and skips the tree checks."""
     fixture_root = os.path.join(REPO_ROOT, "tests", FIXTURE_DIR_NAME)
+    if fixture is not None and not os.path.isdir(os.path.join(fixture_root, fixture)):
+        print(f"self-test: no fixture tree named {fixture}", file=sys.stderr)
+        return 2
     ok = True
     for name in sorted(os.listdir(fixture_root)):
         fdir = os.path.join(fixture_root, name)
@@ -939,18 +1058,16 @@ def self_test(fixture=None):
     if fixture is not None:
         return 0 if ok else 1
 
-    model, findings, edges = run_analysis(REPO_ROOT, ["src"], PASSES)
+    models, findings, edges = run_analysis(REPO_ROOT, None, PASSES)
     if findings:
         ok = False
-        print("self-test: src/ scan NOT clean:")
+        print("self-test: tree scan NOT clean:")
         for f in findings:
             print(f"  {f}")
     else:
-        print(f"self-test: src/ scan clean "
-              f"({len(model.files)} files, {len(model.mutexes)} mutexes, "
-              f"{len(model.functions)} functions)")
+        print(f"self-test: tree scan clean ({describe(models)})")
 
-    fresh = render_dot(model, edges)
+    fresh = render_dot(models[0], edges)
     with open(os.path.join(REPO_ROOT, DOT_PATH), encoding="utf-8") as f:
         committed = f.read()
     if committed != fresh:
@@ -964,11 +1081,11 @@ def self_test(fixture=None):
 
 def main(argv):
     ap = argparse.ArgumentParser(
-        description="Concurrency-contract analyzer (see module docstring)")
+        description="Static contract checker (see module docstring)")
     ap.add_argument("--root", default=REPO_ROOT,
                     help="tree root (default: the repo)")
     ap.add_argument("paths", nargs="*", default=None,
-                    help="files/dirs to scan (default: src)")
+                    help="files/dirs to scan (default: each pass's SCOPES entry)")
     ap.add_argument("--passes", default=",".join(PASSES),
                     help="comma list out of: " + ", ".join(PASSES))
     ap.add_argument("--dot", default=None, metavar="FILE",
@@ -989,26 +1106,28 @@ def main(argv):
         if p not in PASSES:
             print(f"unknown pass: {p}", file=sys.stderr)
             return 2
-    paths = args.paths or ["src"]
+    for p in args.paths:
+        if not os.path.exists(os.path.join(args.root, p)):
+            print(f"no such path: {p}", file=sys.stderr)
+            return 2
 
-    model, findings, edges = run_analysis(args.root, paths, passes)
+    models, findings, edges = run_analysis(args.root, args.paths, passes)
 
     if args.dot and "lock-order" in passes:
         with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(render_dot(model, edges))
+            f.write(render_dot(models[0], edges))
 
     if args.list_locks:
-        for lock_id in sorted(model.mutexes):
-            d = model.mutexes[lock_id]
+        for lock_id in sorted(models[0].mutexes):
+            d = models[0].mutexes[lock_id]
             print(f"{lock_id}  ({d.kind})  {d.rel}:{d.line}")
         return 0
 
     for f in findings:
         print(f)
     if not args.quiet:
-        print(f"analyze: {len(model.files)} files, {len(model.mutexes)} "
-              f"mutexes, {len(model.functions)} functions, "
-              f"{len(findings)} finding(s)", file=sys.stderr)
+        print(f"analyze: {describe(models)}, {len(findings)} finding(s)",
+              file=sys.stderr)
     return 1 if findings else 0
 
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Single-entry CI gate. Stages, in the order that fails fastest:
 #
-#   lint            tools/lint.py --self-test (fixtures + clean-tree scan)
-#   analyze         tools/analyze.py --self-test (concurrency-contract
-#                   passes: lock-order, lock-annotation, layering,
-#                   determinism; fixture suites + clean-tree scan + the
+#   analyze         tools/analyze.py --self-test (lock-order,
+#                   lock-annotation, layering, determinism and the lexical
+#                   passes; fixture suites + clean-tree scan + the
 #                   committed tools/lock_order.dot against a fresh graph).
 #                   Pure python3, no build needed.
 #   format          check-only clang-format over the curated file list below
@@ -49,6 +48,7 @@
 #
 # --stages runs only the named stages (comma list, names as in the summary
 # table); everything else is left out of the run and the summary entirely.
+# An unknown stage name is a usage error.
 set -uo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -57,6 +57,7 @@ skip_asan=0
 skip_tsan=0
 skip_ubsan=0
 only_stages=""
+usage="usage: tools/ci.sh [--skip-asan] [--skip-tsan] [--skip-ubsan] [--stages a,b,c]"
 for arg in "$@"; do
   case "${arg}" in
     --skip-asan) skip_asan=1 ;;
@@ -68,12 +69,22 @@ for arg in "$@"; do
       if [[ -n "${prev_arg:-}" && "${prev_arg}" == "--stages" ]]; then
         only_stages="${arg}"
       else
-        echo "usage: tools/ci.sh [--skip-asan] [--skip-tsan] [--skip-ubsan] [--stages a,b,c]" >&2
+        echo "${usage}" >&2
         exit 2
       fi
       ;;
   esac
   prev_arg="${arg}"
+done
+
+all_stages=(analyze format tier1 versioned-gate block-stm-gate persist-smoke
+            thread-safety clang-tidy asan oracle-soak tsan ubsan)
+for s in ${only_stages//,/ }; do
+  if [[ " ${all_stages[*]} " != *" ${s} "* ]]; then
+    echo "tools/ci.sh: unknown stage '${s}'" >&2
+    echo "${usage}" >&2
+    exit 2
+  fi
 done
 
 # True when the stage is selected by --stages (or no filter is active).
@@ -92,12 +103,12 @@ format_files=(
   src/common/sync.h
   src/obs/registry.cc
   src/trie/kv_store.cc
-  tests/lint_fixtures/bad_raii_temporary.cc
-  tests/lint_fixtures/bad_raw_clock.cc
-  tests/lint_fixtures/bad_raw_rand.cc
-  tests/lint_fixtures/bad_raw_sync.cc
-  tests/lint_fixtures/bad_todo_tag.cc
-  tests/lint_fixtures/bad_unordered_iter.cc
+  tests/analyze_fixtures/raii_temporary/bad_raii_temporary.cc
+  tests/analyze_fixtures/raw_clock/bad_raw_clock.cc
+  tests/analyze_fixtures/raw_rand/bad_raw_rand.cc
+  tests/analyze_fixtures/raw_sync/bad_raw_sync.cc
+  tests/analyze_fixtures/todo_tag/bad_todo_tag.cc
+  tests/analyze_fixtures/tainted_iter/bad_unordered_iter.cc
 )
 
 # The clang-tidy stage covers every translation unit in src/ (the curated
@@ -132,10 +143,6 @@ skip_stage() {
   echo "=== CI stage: ${name} — skipped (${why}) ==="
   stage_names+=("${name}")
   stage_results+=("SKIP: ${why}")
-}
-
-stage_lint() {
-  python3 "${repo_root}/tools/lint.py" --self-test
 }
 
 stage_analyze() {
@@ -235,7 +242,6 @@ stage_ubsan() {
     (cd "${repo_root}/build-ubsan" && ctest --output-on-failure -j"${jobs}")
 }
 
-run_stage lint stage_lint
 run_stage analyze stage_analyze
 
 if command -v clang-format >/dev/null 2>&1; then
